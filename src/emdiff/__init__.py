@@ -4,13 +4,12 @@ instrumented with exact oracles on enumerable instances."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateWeightsError,
-                     OracleUnavailableError, RunAbortedError,
+from .errors import (ConfigError, OracleUnavailableError, RunAbortedError,
                      UnreachableTransitionError)
 from .numkit import Mlp, RngStream, log_sum_exp, sample_categorical, softmax
 
 __all__ = [
-    "ConfigError", "DegenerateWeightsError", "OracleUnavailableError",
+    "ConfigError", "OracleUnavailableError",
     "RunAbortedError", "UnreachableTransitionError",
     "Mlp", "RngStream", "log_sum_exp", "sample_categorical", "softmax",
     "__version__",

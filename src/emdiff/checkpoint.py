@@ -4,6 +4,7 @@ parameter payloads, exact to the bit on round trip."""
 import base64
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -28,12 +29,26 @@ def _unpack(obj):
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
 
 
-def save_checkpoint(path, *, cfg, epoch, seed, policy_version, params,
-                    pretrained_params, opt_state):
+def write_atomic(path, text):
+    """Replace the file at `path` by `text`: a write that fails midway
+    leaves the previous file as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def save_checkpoint(path, *, cfg, variant, epoch, seed, policy_version,
+                    params, pretrained_params, opt_state):
     payload = {
         "format_version": FORMAT_VERSION,
         "config": cfg,
         "config_hash": config_hash(cfg),
+        "variant": variant,
         "epoch": int(epoch),
         "seed": int(seed),
         "policy_version": int(policy_version),
@@ -45,8 +60,7 @@ def save_checkpoint(path, *, cfg, epoch, seed, policy_version, params,
             "v": [_pack(a) for a in opt_state["v"]],
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path):

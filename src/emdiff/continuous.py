@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .numkit import Mlp, softmax
-from .trajectory import Trajectory
+from .trajectory import TrajectoryBatch
 
 
 class GaussianMixture:
@@ -220,8 +220,5 @@ class ContinuousPolicy:
         for t in range(T, 0, -1):
             x = self.step(x, t, rng.child(t))
             states.append(x)
-        out = []
-        for i in range(n):
-            out.append(Trajectory(states=[s[i] for s in states], T=T,
-                                  snapshot=self.version))
-        return out
+        return TrajectoryBatch(states=np.stack(states, axis=1),
+                               snapshot=self.version)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, OracleUnavailableError, UnreachableTransitionError
 from .numkit import Mlp, softmax
 from .optim import Adam
-from .trajectory import Trajectory
+from .trajectory import TrajectoryBatch
 
 ENUM_CAP = 20_000
 
@@ -310,8 +310,8 @@ class DiscretePolicy:
             choice = (u[..., None] > cdf).sum(axis=-1)
             X = np.where(X == mask_token(self.K), choice, X).astype(np.int64)
             states.append(X)
-        return [Trajectory(states=[s[i] for s in states], T=T,
-                           snapshot=self.version) for i in range(n)]
+        return TrajectoryBatch(states=np.stack(states, axis=1),
+                               snapshot=self.version)
 
 
 def _mask_patterns(L):

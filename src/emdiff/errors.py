@@ -13,9 +13,5 @@ class UnreachableTransitionError(ValueError):
     """A discrete transition outside the reverse process support (carry-over violated)."""
 
 
-class DegenerateWeightsError(RuntimeError):
-    """Every particle weight underflowed to zero."""
-
-
 class RunAbortedError(RuntimeError):
     """Training state went non-finite; the last good checkpoint is retained."""

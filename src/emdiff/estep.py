@@ -13,10 +13,10 @@ import numpy as np
 
 from . import continuous as cont
 from . import discrete as disc
-from .errors import ConfigError, DegenerateWeightsError
-from .numkit import log_sum_exp, sample_categorical
+from .errors import ConfigError
+from .numkit import log_sum_exp
 from .softq import SoftQConfig, approx_soft_q, x0hat_reward
-from .trajectory import StepLog, Trajectory
+from .trajectory import TrajectoryBatch
 
 
 @dataclass
@@ -41,173 +41,11 @@ class EStepConfig:
                 "set guidance off for black-box rewards")
 
 
-@dataclass
-class ParticleSet:
-    states: np.ndarray          # (M, ...) candidate next states
-    log_proposal: np.ndarray    # (M,)
-    log_prior: np.ndarray       # (M,)
-    qhat: np.ndarray            # (M,)
-    weights: np.ndarray = None  # (M,) normalized
-    log_weight_corr: np.ndarray = None  # log(w_m / mean(w))
-    fallback: bool = False
-
-    @property
-    def size(self):
-        return self.states.shape[0]
-
-    def entropy(self):
-        w = self.weights
-        nz = w > 0
-        return float(-np.sum(w[nz] * np.log(w[nz])))
-
-
 def _gauss_logpdf(x, mean, sig2):
     diff = x - mean
     d = x.shape[-1]
     return (-0.5 * d * np.log(2.0 * np.pi * sig2)
             - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
-
-
-def propose_continuous(policy, reward, xt, t, cfg, rng):
-    """M Gaussian particles from the gradient-shifted policy kernel."""
-    sc = policy.schedule
-    sig2 = sc.sig2[t]
-    mu_prior = policy.mean(xt, t)
-    if cfg.guidance:
-        cfg.validate_against(reward)
-        grad = cont.reward_state_grad(policy.mixture, reward, xt,
-                                      sc.alpha_bar[t], cfg.grad_mode)
-        shift = (sig2 / cfg.alpha) * cfg.gamma ** (t - 1) * grad
-        mu_prop = mu_prior + shift
-    else:
-        mu_prop = mu_prior
-    eps = rng.normal((cfg.particles, policy.dim))
-    states = mu_prop + np.sqrt(sig2) * eps
-    log_prop = _gauss_logpdf(states, mu_prop, sig2)
-    log_prior = _gauss_logpdf(states, mu_prior, sig2)
-    r_hat = x0hat_reward(policy, reward, states, t - 1)
-    return ParticleSet(states, log_prop, log_prior,
-                       approx_soft_q(cfg.softq, t, r_hat))
-
-
-def discrete_guidance_shift(policy, reward, xt, t, cfg):
-    """Per-position additive logit shifts over the K+1 next-state classes.
-
-    The reward gradient is taken on the relaxed x0 distribution; the mask
-    class inherits the denoiser-averaged token gradient, since keeping the
-    mask keeps the denoiser's prediction in play.
-    """
-    den = policy.denoiser
-    p0 = disc.x0_probs(den, xt, t)                    # (L, K)
-    relaxed = np.concatenate([p0, np.zeros((den.L, 1))], axis=-1)
-    g = reward.relaxed_grad(relaxed)                  # (L, K+1)
-    shift = np.zeros((den.L, den.K + 1))
-    shift[:, :den.K] = g[:, :den.K]
-    shift[:, den.K] = np.sum(p0 * g[:, :den.K], axis=-1)
-    return cfg.gamma ** (t - 1) / cfg.alpha * shift
-
-
-def propose_discrete(policy, reward, xt, t, cfg, rng):
-    """M particles from the per-position categorical proposal."""
-    sc = policy.schedule
-    den = policy.denoiser
-    xt = np.asarray(xt, dtype=np.int64)
-    rows = disc.subs_position_probs(sc, den, xt, t - 1, t)   # (L, K+1)
-    masked = np.flatnonzero(xt == disc.mask_token(den.K))
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(rows)
-    if cfg.guidance and masked.size:
-        cfg.validate_against(reward)
-        shift = discrete_guidance_shift(policy, reward, xt, t, cfg)
-        prop_logits = log_rows[masked] + shift[masked]
-        prop_logp = prop_logits - log_sum_exp(prop_logits, axis=-1)[:, None]
-    else:
-        prop_logp = log_rows[masked]
-    M = cfg.particles
-    states = np.broadcast_to(xt, (M, den.L)).copy()
-    log_prop = np.zeros(M)
-    log_prior = np.zeros(M)
-    u = rng.uniform((M, masked.size)) if masked.size else np.zeros((M, 0))
-    for j, pos in enumerate(masked):
-        p = np.exp(prop_logp[j])
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        choice = np.searchsorted(cdf, u[:, j], side="right")
-        states[:, pos] = choice
-        log_prop += prop_logp[j][choice]
-        log_prior += log_rows[masked[j], choice]
-    r_hat = np.atleast_1d(x0hat_reward(policy, reward, states, t - 1))
-    return ParticleSet(states, log_prop, log_prior,
-                       approx_soft_q(cfg.softq, t, r_hat))
-
-
-def propose(policy, reward, xt, t, cfg, rng):
-    if isinstance(policy, cont.ContinuousPolicy):
-        return propose_continuous(policy, reward, xt, t, cfg, rng)
-    return propose_discrete(policy, reward, xt, t, cfg, rng)
-
-
-def importance_weights(pset, cfg):
-    """Populate normalized weights w ~ (prior/proposal) exp(qhat/alpha).
-
-    Computed in log space; raises DegenerateWeightsError when no particle
-    has finite weight.
-    """
-    logw = pset.log_prior - pset.log_proposal + pset.qhat / cfg.alpha
-    finite = np.isfinite(logw)
-    if not finite.any():
-        raise DegenerateWeightsError("all particle weights underflowed")
-    safe = np.where(finite, logw, -np.inf)
-    lse = log_sum_exp(safe)
-    pset.weights = np.exp(safe - lse)
-    pset.weights /= pset.weights.sum()
-    pset.log_weight_corr = safe - (lse - np.log(pset.size))
-    return pset
-
-
-def resample(pset, rng):
-    """Pick one particle index by the normalized weights."""
-    return sample_categorical(pset.weights, rng)
-
-
-def search_step(policy, reward, xt, t, cfg, rng):
-    """One propose/weight/resample step; returns (next_state, pset, log)."""
-    pset = propose(policy, reward, xt, t, cfg, rng)
-    try:
-        importance_weights(pset, cfg)
-    except DegenerateWeightsError:
-        pset.weights = np.full(pset.size, 1.0 / pset.size)
-        pset.log_weight_corr = np.zeros(pset.size)
-        pset.fallback = True
-    k = resample(pset, rng)
-    log = StepLog(t=t,
-                  log_prior=float(pset.log_prior[k]),
-                  log_proposal=float(pset.log_proposal[k]),
-                  log_weight_corr=float(pset.log_weight_corr[k]),
-                  qhat=float(pset.qhat[k]),
-                  weight_entropy=pset.entropy())
-    return pset.states[k], pset, log
-
-
-def sample_posterior_trajectory(policy, reward, cfg, rng):
-    """Run the full T..1 search chain from the model's terminal state."""
-    T = policy.schedule.T
-    if isinstance(policy, cont.ContinuousPolicy):
-        x = rng.normal(policy.dim)
-    else:
-        x = np.full(policy.L, disc.mask_token(policy.K), dtype=np.int64)
-    states = [x]
-    logs = []
-    fallbacks = 0
-    for t in range(T, 0, -1):
-        x, pset, log = search_step(policy, reward, x, t, cfg, rng)
-        fallbacks += int(pset.fallback)
-        states.append(x)
-        logs.append(log)
-    tr = Trajectory(states=states, T=T, reward=float(reward.value(x)),
-                    snapshot=policy.version, step_logs=logs)
-    tr.fallbacks = fallbacks
-    return tr
 
 
 def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
@@ -235,8 +73,7 @@ def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
     states = mu_prop[:, None, :] + np.sqrt(sig2) * eps
     log_prop = _gauss_logpdf(states, mu_prop[:, None, :], sig2)
     log_prior = _gauss_logpdf(states, mu_prior[:, None, :], sig2)
-    r_hat = reward.value(cont.x0hat(policy.mixture, states,
-                                    sc.alpha_bar[t - 1]))
+    r_hat = x0hat_reward(policy, reward, states, t - 1)
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 
 
@@ -260,6 +97,9 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
         cfg.validate_against(reward)
         relaxed = np.concatenate([p0, np.zeros((n, L, 1))], axis=-1)
         g = reward.relaxed_grad(relaxed)
+        # per-position logit shifts over the K+1 classes; the mask class
+        # takes the denoiser-averaged token gradient, since keeping the mask
+        # keeps the denoiser's prediction in play
         shift = np.concatenate(
             [g[..., :den.K], np.sum(p0 * g[..., :den.K], axis=-1)[..., None]],
             axis=-1)
@@ -282,9 +122,8 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
     mask3 = masked[:, None, :]
     log_prop = np.where(mask3, pick_prop, 0.0).sum(axis=-1)
     log_prior = np.where(mask3, pick_prior, 0.0).sum(axis=-1)
-    flat = states.reshape(n * M, L)
-    relaxed_next = disc.relaxed_x0(den, flat, np.full(n * M, t - 1))
-    r_hat = np.asarray(reward.relaxed_value(relaxed_next)).reshape(n, M)
+    r_hat = np.reshape(x0hat_reward(policy, reward, states.reshape(n * M, L),
+                                    t - 1), (n, M))
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 
 
@@ -326,31 +165,26 @@ def search_step_batch(policy, reward, X, t, cfg, rng):
 def sample_posterior_batch(policy, reward, cfg, rng, n):
     """Vectorized search: n trajectories marched through t = T..1 at once.
 
-    One stream drives the whole batch, so results are independent of any
-    worker scheduling; statistically equivalent to n independent calls of
-    sample_posterior_trajectory.
+    rng.child(0) draws the continuous start states and rng.child(t) drives
+    step t, so the result depends only on (rng, n), not on how the caller
+    schedules work.
     """
     T = policy.schedule.T
     if isinstance(policy, cont.ContinuousPolicy):
         X = rng.child(0).normal((n, policy.dim))
     else:
         X = np.full((n, policy.L), disc.mask_token(policy.K), dtype=np.int64)
-    all_states = [X]
-    step_rows = []
+    states = [X]
+    infos = []
     for t in range(T, 0, -1):
         X, info = search_step_batch(policy, reward, X, t, cfg, rng.child(t))
-        step_rows.append((t,) + info)
-        all_states.append(X)
-    rewards = np.atleast_1d(reward.value(X)).astype(float)
-    out = []
-    for i in range(n):
-        logs = [StepLog(t=t, log_prior=float(lp[i]), log_proposal=float(lq[i]),
-                        log_weight_corr=float(c[i]), qhat=float(q[i]),
-                        weight_entropy=float(e[i]))
-                for (t, lp, lq, c, q, e, fb) in step_rows]
-        tr = Trajectory(states=[s[i] for s in all_states], T=T,
-                        reward=float(rewards[i]), snapshot=policy.version,
-                        step_logs=logs)
-        tr.fallbacks = int(sum(fb[i] for (*_, fb) in step_rows))
-        out.append(tr)
-    return out
+        states.append(X)
+        infos.append(info)
+    _, log_prop, corr, _, ent, fallback = zip(*infos)
+    return TrajectoryBatch(
+        states=np.stack(states, axis=1), snapshot=policy.version,
+        rewards=np.atleast_1d(reward.value(X)).astype(float),
+        log_proposal=np.stack(log_prop, axis=1),
+        log_weight_corr=np.stack(corr, axis=1),
+        weight_entropy=np.stack(ent, axis=1),
+        fallbacks=np.stack(fallback, axis=1).sum(axis=1))

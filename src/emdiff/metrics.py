@@ -113,31 +113,20 @@ def elbo_surrogate(policy, batch, alpha, gamma):
     re-evaluated under `policy` (vectorized over the whole batch), so the
     batch can score an updated model.
     """
-    if not batch:
-        raise ConfigError("surrogate ELBO needs a non-empty batch")
-    T = batch[0].T
-    X_t, X_prev, t_rows = [], [], []
-    for tr in batch:
-        for t, xt, xprev in tr.transitions():
-            X_t.append(xt)
-            X_prev.append(xprev)
-            t_rows.append(t)
-    X_t = np.asarray(X_t)
-    X_prev = np.asarray(X_prev)
-    t_rows = np.asarray(t_rows)
+    if batch.n < 1 or not batch.searched:
+        raise ConfigError("surrogate ELBO needs a non-empty search batch")
+    n, T = batch.n, batch.T
+    X_t, X_prev, t_rows = batch.transitions()
     if hasattr(policy, "mixture"):
         log_p = policy.logprob(X_t, X_prev, t_rows)
     else:
         log_p = disc.transition_logprob_batch(policy.schedule,
                                               policy.denoiser, X_t, X_prev,
                                               t_rows)
-    log_p = log_p.reshape(len(batch), T)
-    log_eta = np.array([[log.log_proposal + log.log_weight_corr
-                         for log in tr.step_logs] for tr in batch])
-    disc_w = gamma ** (T - t_rows.reshape(len(batch), T))
-    rewards = np.array([tr.reward for tr in batch])
-    per_traj = np.sum(disc_w * (log_p - log_eta), axis=1) \
-        + gamma ** (T - 1) * rewards / alpha
+    log_eta = batch.log_proposal + batch.log_weight_corr
+    disc_w = gamma ** (T - t_rows.reshape(n, T))
+    per_traj = np.sum(disc_w * (log_p.reshape(n, T) - log_eta), axis=1) \
+        + gamma ** (T - 1) * batch.rewards / alpha
     return float(per_traj.mean())
 
 

@@ -37,53 +37,51 @@ class MStepConfig:
             raise ConfigError(f"unknown kl_weighting {self.kl_weighting!r}")
 
 
-def _traj_weights(batch, weights):
+def _row_weights(batch, mcfg, weights):
+    """Per-transition NLL and KL weights, aligned with batch.transitions()."""
+    n, T = batch.n, batch.T
     if weights is None:
-        return np.full(len(batch), 1.0 / len(batch))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(batch),) or np.any(w < 0):
-        raise ConfigError("trajectory weights must be nonnegative, one per trajectory")
-    return w / w.sum()
-
-
-def _kl_step_weight(mcfg, T, t):
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,) or np.any(w < 0):
+            raise ConfigError(
+                "trajectory weights must be nonnegative, one per trajectory")
+        w = w / w.sum()
+    row_w = np.repeat(w, T)
     if mcfg.kl_weighting == "discounted":
-        return mcfg.gamma ** (T - t)
-    return 1.0
+        step_w = np.array([mcfg.gamma ** (T - t) for t in range(T, 0, -1)])
+    else:
+        step_w = np.ones(T)
+    return row_w, row_w * np.tile(step_w, n)
 
 
-def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None):
+def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
+                   analytic_mean=None):
     """Total loss, its pieces, and gradients wrt policy parameters.
 
     total = nll + kl_coeff * kl, where nll is the weighted negative
     log-likelihood of the batch transitions under the policy and kl the
     per-step KL to the pretrained policy evaluated at the batch states.
+    analytic_mean optionally supplies policy.analytic_mean at the batch
+    transitions (continuous world); it does not depend on the parameters,
+    so update() computes it once per batch.
     """
     if isinstance(policy, cont.ContinuousPolicy):
-        return _continuous_loss(policy, pretrained, batch, mcfg, traj_weights)
+        return _continuous_loss(policy, pretrained, batch, mcfg, traj_weights,
+                                analytic_mean)
     return _discrete_loss(policy, pretrained, batch, mcfg, traj_weights)
 
 
-def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights):
+def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base):
     if policy.frozen:
         raise ConfigError("cannot distill into a frozen policy")
-    w_traj = _traj_weights(batch, traj_weights)
-    X_t, X_prev, T_arr, row_w, kl_w = [], [], [], [], []
-    for tr, wb in zip(batch, w_traj):
-        for t, xt, xprev in tr.transitions():
-            X_t.append(xt)
-            X_prev.append(xprev)
-            T_arr.append(t)
-            row_w.append(wb)
-            kl_w.append(wb * _kl_step_weight(mcfg, tr.T, t))
-    X_t = np.asarray(X_t)
-    X_prev = np.asarray(X_prev)
-    T_arr = np.asarray(T_arr)
-    row_w = np.asarray(row_w)
-    kl_w = np.asarray(kl_w)
+    X_t, X_prev, T_arr = batch.transitions()
+    row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
     sig2 = policy.schedule.sig2[T_arr]
 
-    mu_base = policy.analytic_mean(X_t, T_arr)
+    if mu_base is None:
+        mu_base = policy.analytic_mean(X_t, T_arr)
     inputs = policy.residual_input(X_t, T_arr)
     raw, cache = policy.residual.forward_cache(inputs)
     delta = sig2[:, None] * raw
@@ -110,28 +108,14 @@ def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights):
 
 
 def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights):
-    w_traj = _traj_weights(batch, traj_weights)
     sc = policy.schedule
     den = policy.denoiser
-    K, L = den.K, den.L
-    m = disc.mask_token(K)
-    rows_xt, rows_t, rows_prev, row_w, kl_w = [], [], [], [], []
-    for tr, wb in zip(batch, w_traj):
-        for t, xt, xprev in tr.transitions():
-            observed = xt != m
-            if np.any(observed & (xprev != xt)):
-                raise UnreachableTransitionError(
-                    "batch contains a carry-over violation")
-            rows_xt.append(xt)
-            rows_t.append(t)
-            rows_prev.append(xprev)
-            row_w.append(wb)
-            kl_w.append(wb * _kl_step_weight(mcfg, tr.T, t))
-    rows_xt = np.asarray(rows_xt)
-    rows_t = np.asarray(rows_t)
-    rows_prev = np.asarray(rows_prev)
-    row_w = np.asarray(row_w)
-    kl_w = np.asarray(kl_w)
+    m = disc.mask_token(den.K)
+    rows_xt, rows_prev, rows_t = batch.transitions()
+    if np.any((rows_xt != m) & (rows_prev != rows_xt)):
+        raise UnreachableTransitionError(
+            "batch contains a carry-over violation")
+    row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
 
     logits = den.logits(rows_xt, rows_t)              # (N, L, K)
     p0 = softmax(logits, axis=-1)
@@ -185,17 +169,21 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
     policy's current version) before any update; aborts on non-finite
     gradients. Returns a report with losses before and after.
     """
-    if not batch:
+    if batch.n < 1:
         raise ConfigError("M-step needs a non-empty batch")
     want = policy.version if expected_snapshot is None else expected_snapshot
-    bad = [tr.snapshot for tr in batch if tr.snapshot != want]
-    if bad:
+    if batch.snapshot != want:
         raise ConfigError(
-            f"stale batch: snapshot {bad[0]} does not match expected {want}")
+            f"stale batch: snapshot {batch.snapshot} does not match expected "
+            f"{want}")
+    base = None
+    if isinstance(policy, cont.ContinuousPolicy):
+        X_t, _, t = batch.transitions()
+        base = policy.analytic_mean(X_t, t)
     loss_before = None
     for _ in range(mcfg.steps):
         total, nll, kl, grads = loss_and_grads(policy, pretrained, batch,
-                                               mcfg, traj_weights)
+                                               mcfg, traj_weights, base)
         if loss_before is None:
             loss_before = total
         if not all(np.all(np.isfinite(g)) for g in grads):
@@ -205,6 +193,6 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
         opt.step(grads)
         policy.version += 1
     total, nll, kl, _ = loss_and_grads(policy, pretrained, batch, mcfg,
-                                       traj_weights)
+                                       traj_weights, base)
     return {"loss_before": float(loss_before), "loss_after": float(total),
             "nll": float(nll), "kl": float(kl)}

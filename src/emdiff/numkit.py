@@ -7,6 +7,8 @@ by hand where they are needed.
 
 import numpy as np
 
+from .errors import RunAbortedError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -184,7 +186,7 @@ class Mlp:
             acts.append(h)
         y = h * self.out_scale
         if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite MLP output")
+            raise RunAbortedError("non-finite MLP output")
         cache = (acts, pres, single)
         return (y[0] if single else y), cache
 

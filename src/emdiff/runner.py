@@ -5,7 +5,6 @@ evaluation/oracle entry points used by the CLI."""
 import copy
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .optim import Adam
 from .rewards import make_reward
 from .schedules import make_continuous_schedule, make_discrete_schedule
 from .softq import ExactSoftTables, SoftQConfig
-from .trajectory import stack_terminals
 
 _INIT, _PRETRAIN, _ESTEP, _EVAL, _POSTERIOR = 1, 2, 3, 4, 5
 
@@ -239,43 +237,12 @@ def _dump_samples(path, terminals, alphabet):
                 fh.write("".join(alphabet[int(v)] for v in row) + "\n")
 
 
-def _n_threads():
-    try:
-        return max(1, int(os.environ.get("EMDIFF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-_CHUNK = 32  # fixed: stream layout must not depend on worker count
-
-
-def _estep_batch(policy, reward, ecfg, root, epoch, batch_size):
-    """Vectorized search in fixed-size chunks; chunk streams are keyed by
-    chunk index, so any number of workers produces identical results."""
-    spans = [(lo, min(lo + _CHUNK, batch_size))
-             for lo in range(0, batch_size, _CHUNK)]
-
-    def one(ci):
-        lo, hi = spans[ci]
-        return sample_posterior_batch(policy, reward, ecfg,
-                                      root.child(_ESTEP, epoch, ci), hi - lo)
-
-    n = _n_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            chunks = list(pool.map(one, range(len(spans))))
-    else:
-        chunks = [one(ci) for ci in range(len(spans))]
-    return [tr for chunk in chunks for tr in chunk]
-
-
 def evaluate_policy(setup, policy, epoch, batch=None, report=None, rng=None):
     """One metrics row: rollout statistics plus the best available ELBO."""
     cfg = setup.cfg
     n_eval = cfg["eval"]["samples"]
     rng = rng or setup.root.child(_EVAL, epoch)
-    rollouts = policy.rollout(rng, n_eval)
-    terminals = stack_terminals(rollouts)
+    terminals = policy.rollout(rng, n_eval).terminals
     rewards = np.atleast_1d(setup.reward.value(terminals)).astype(float)
     rec = met.ElboRecord(
         epoch=epoch, elbo=float("nan"), estimator="none",
@@ -285,32 +252,45 @@ def evaluate_policy(setup, policy, epoch, batch=None, report=None, rng=None):
         rec.mode_coverage = met.mode_coverage(
             terminals, setup.mixture,
             radius_scale=cfg["eval"]["mode_radius_scale"])
+    searched = batch is not None and batch.searched
     if setup.enumerable:
         tables = setup.exact_tables(policy)
         rec.elbo = met.elbo_exact_tabular(policy, tables, setup.ecfg.alpha,
                                           setup.ecfg.gamma)
         rec.estimator = "exact-tabular"
         rec.mc_error_free = True
-    elif batch and batch[0].step_logs:
+    elif searched:
         rec.elbo = met.elbo_surrogate(policy, batch, setup.ecfg.alpha,
                                       setup.ecfg.gamma)
         rec.estimator = "surrogate-is"
-    if batch and batch[0].step_logs:
-        rec.weight_entropy = float(np.mean(
-            [log.weight_entropy for tr in batch for log in tr.step_logs]))
-        rec.fallbacks = int(sum(getattr(tr, "fallbacks", 0) for tr in batch))
+    if searched:
+        rec.weight_entropy = float(np.mean(batch.weight_entropy))
+        rec.fallbacks = int(batch.fallbacks.sum())
     if report:
         rec.loss_before = report["loss_before"]
         rec.loss_after = report["loss_after"]
     return rec, terminals
 
 
-def _save_ckpt(path, setup, policy, opt, epoch):
+def _save_ckpt(path, setup, policy, opt, epoch, variant):
     ckpt.save_checkpoint(
-        path, cfg=setup.cfg, epoch=epoch, seed=setup.seed,
+        path, cfg=setup.cfg, variant=variant, epoch=epoch, seed=setup.seed,
         policy_version=policy.version, params=policy.params(),
         pretrained_params=setup.pretrained.params(),
         opt_state=opt.state_dict())
+
+
+def _truncate_metrics(csv_path, epoch):
+    """Drop the metrics.csv rows after `epoch`, which a run that went past
+    the checkpoint being resumed has already written."""
+    if not os.path.exists(csv_path):
+        raise ConfigError("resume expects the run's metrics.csv in out_dir")
+    with open(csv_path) as fh:
+        lines = fh.readlines()
+    keep = lines[:epoch + 2]  # the header, then epochs 0..epoch
+    if len(keep) != epoch + 2 or not keep[-1].startswith(f"{epoch},"):
+        raise ConfigError(f"metrics.csv has no row for checkpoint epoch {epoch}")
+    ckpt.write_atomic(csv_path, "".join(keep))
 
 
 def run_align(raw_cfg, out_dir, variant="dav", resume=None):
@@ -324,6 +304,19 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     cfg = resolve_config(raw_cfg)
+    csv_path = os.path.join(out_dir, "metrics.csv")
+    payload = None
+    if resume is not None:
+        payload = ckpt.load_checkpoint(resume)
+        # epochs is a stop point, not part of the run's identity: resuming
+        # with a longer horizon continues the same run
+        if _resume_hash(payload["config"]) != _resume_hash(cfg):
+            raise ConfigError("checkpoint was produced by a different config")
+        if payload.get("variant") != variant:
+            raise ConfigError(
+                f"checkpoint was produced by variant "
+                f"{payload.get('variant')!r}, not {variant!r}")
+        _truncate_metrics(csv_path, payload["epoch"])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg, fh, sort_keys=True, indent=2)
@@ -332,20 +325,12 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
     mcfg = setup.mcfg
     opt = Adam(policy.params(), lr=mcfg.lr, beta1=mcfg.beta1, beta2=mcfg.beta2)
     start_epoch = 0
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    if resume is not None:
-        payload = ckpt.load_checkpoint(resume)
-        # epochs is a stop point, not part of the run's identity: resuming
-        # with a longer horizon continues the same run
-        if _resume_hash(payload["config"]) != _resume_hash(cfg):
-            raise ConfigError("checkpoint was produced by a different config")
+    if payload is not None:
         ckpt.restore_arrays(policy.params(), payload["params"])
         ckpt.restore_arrays(pretrained.params(), payload["pretrained_params"])
         opt.load_state_dict(payload["opt"])
         policy.version = payload["policy_version"]
         start_epoch = payload["epoch"]
-        if not os.path.exists(csv_path):
-            raise ConfigError("resume expects the run's metrics.csv in out_dir")
         fh = open(csv_path, "a")
     else:
         fh = open(csv_path, "w")
@@ -359,36 +344,33 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
             fh.write(_csv_row(rec))
             fh.flush()
             _save_ckpt(os.path.join(out_dir, "ckpt_epoch0000.json"),
-                       setup, policy, opt, 0)
+                       setup, policy, opt, 0, variant)
+        searcher = pretrained if variant == "search_and_distill" else policy
         for e in range(start_epoch + 1, cfg["epochs"] + 1):
             if variant == "reweight":
                 batch = policy.rollout(setup.root.child(_ESTEP, e),
                                        cfg["batch"])
-                for tr in batch:
-                    tr.reward = float(reward.value(tr.terminal))
-                weights = softmax(np.array([tr.reward for tr in batch])
-                                  / setup.ecfg.alpha)
-                expected = policy.version
-            elif variant == "search_and_distill":
-                batch = _estep_batch(pretrained, reward, setup.ecfg,
-                                     setup.root, e, cfg["batch"])
-                weights = None
-                expected = pretrained.version
+                rewards = np.atleast_1d(
+                    reward.value(batch.terminals)).astype(float)
+                weights = softmax(rewards / setup.ecfg.alpha)
             else:
-                batch = _estep_batch(policy, reward, setup.ecfg,
-                                     setup.root, e, cfg["batch"])
+                # the key's trailing 0 keeps batches of up to 32 rows on the
+                # random numbers of earlier releases, which searched in
+                # chunks of 32
+                batch = sample_posterior_batch(
+                    searcher, reward, setup.ecfg,
+                    setup.root.child(_ESTEP, e, 0), cfg["batch"])
                 weights = None
-                expected = policy.version
             report = mstep_mod.update(policy, pretrained, batch, mcfg, opt,
                                       traj_weights=weights,
-                                      expected_snapshot=expected)
+                                      expected_snapshot=searcher.version)
             rec, terminals = evaluate_policy(setup, policy, e, batch, report)
             records.append(rec)
             fh.write(_csv_row(rec))
             fh.flush()
             if e % cfg["checkpoint_every"] == 0 or e == cfg["epochs"]:
                 _save_ckpt(os.path.join(out_dir, f"ckpt_epoch{e:04d}.json"),
-                           setup, policy, opt, e)
+                           setup, policy, opt, e, variant)
     except RunAbortedError as err:
         with open(os.path.join(out_dir, "abort.txt"), "w") as afh:
             afh.write(str(err) + "\n")
@@ -442,14 +424,14 @@ def run_eval(ckpt_path, n_samples, posterior=False, seed=None, out_dir=None):
                 radius_scale=setup.cfg["eval"]["mode_radius_scale"])
         return out
 
-    rollouts = policy.rollout(root.child(_EVAL, payload["epoch"]), n_samples)
-    terminals = stack_terminals(rollouts)
+    terminals = policy.rollout(root.child(_EVAL, payload["epoch"]),
+                               n_samples).terminals
     result = {"amortized": summarize(terminals), "epoch": payload["epoch"]}
     post_terminals = None
     if posterior:
-        trs = sample_posterior_batch(policy, reward, setup.ecfg,
-                                     root.child(_POSTERIOR), n_samples)
-        post_terminals = stack_terminals(trs)
+        post_terminals = sample_posterior_batch(
+            policy, reward, setup.ecfg, root.child(_POSTERIOR),
+            n_samples).terminals
         result["posterior"] = summarize(post_terminals)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

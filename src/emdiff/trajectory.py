@@ -1,49 +1,50 @@
-"""Trajectory container shared by both worlds."""
+"""Columnar trajectory batch shared by both worlds."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
-class StepLog:
-    """Per-step bookkeeping kept by the posterior search, consumed by the
-    importance-sampling ELBO estimator."""
+class TrajectoryBatch:
+    """n denoising trajectories x_T ... x_0, stored as arrays.
 
-    t: int
-    log_prior: float      # log p_snapshot(x_{t-1} | x_t) at the kept particle
-    log_proposal: float   # log proposal density at the kept particle
-    log_weight_corr: float  # log(w_kept / mean(w)): tilt correction
-    qhat: float           # soft-Q approximation at the kept particle
-    weight_entropy: float
-
-
-@dataclass
-class Trajectory:
-    """Denoising states x_T ... x_0 with terminal reward.
-
-    states[i] is the state at timestep T - i; continuous states are float
-    vectors, discrete states int token arrays (mask token = vocab size).
+    states[:, i] is the state at timestep T - i: float vectors in the
+    continuous world, int token arrays (mask token = vocab size) in the
+    discrete one. The search fills the per-step logs, (n, T) C-ordered with
+    column i belonging to timestep T - i; plain rollouts leave them None.
     """
 
-    states: list
-    T: int
-    reward: float = 0.0
-    snapshot: int = 0
-    step_logs: list = field(default_factory=list)
-
-    def state_at(self, t):
-        return self.states[self.T - t]
-
-    def transitions(self):
-        """Yield (t, x_t, x_{t-1}) for t = T..1."""
-        for i in range(self.T):
-            yield self.T - i, self.states[i], self.states[i + 1]
+    states: np.ndarray                        # (n, T+1, ...)
+    snapshot: int = 0                         # policy version that sampled it
+    rewards: np.ndarray = None                # (n,) terminal rewards
+    log_proposal: np.ndarray = None           # (n, T) at the kept particle
+    log_weight_corr: np.ndarray = None        # (n, T) log(w_kept / mean w)
+    weight_entropy: np.ndarray = None         # (n, T)
+    fallbacks: np.ndarray = None              # (n,) steps with uniform weights
 
     @property
-    def terminal(self):
-        return self.states[-1]
+    def n(self):
+        return self.states.shape[0]
 
+    @property
+    def T(self):
+        return self.states.shape[1] - 1
 
-def stack_terminals(trajectories):
-    return np.stack([tr.terminal for tr in trajectories])
+    @property
+    def terminals(self):
+        return np.ascontiguousarray(self.states[:, -1])
+
+    @property
+    def searched(self):
+        """Whether the batch carries posterior-search logs."""
+        return self.log_proposal is not None
+
+    def transitions(self):
+        """Aligned row arrays (X_t, X_prev, t) over all n*T transitions,
+        trajectory-major, with t running T..1 within each trajectory."""
+        n, T = self.n, self.T
+        tail = self.states.shape[2:]
+        X_t = self.states[:, :-1].reshape((n * T,) + tail)
+        X_prev = self.states[:, 1:].reshape((n * T,) + tail)
+        return X_t, X_prev, np.tile(np.arange(T, 0, -1), n)

@@ -109,7 +109,7 @@ def mixture_runs(tmp_path_factory):
                           particles=256, guidance=True)
     trs = sample_posterior_batch(s.pretrained, s.reward, ref_cfg,
                                  RngStream(777), 400)
-    ref = float(np.mean([t.reward for t in trs]))
+    ref = float(np.mean(trs.rewards))
     return {"dav": dav, "kl": kl, "reference": ref}
 
 
@@ -366,13 +366,13 @@ def test_criterion_09_process_checks():
     trs = policy.rollout(RngStream(3), 25_000)
     steps = 0
     violations = 0
-    for tr in trs[:2000]:
-        for t, xt, xprev in tr.transitions():
-            observed = xt != mask_token(2)
-            violations += int(np.any(xprev[observed] != xt[observed]))
-            violations += int(np.any((xprev == mask_token(2)) & observed))
+    X_t, X_prev, _ = trs.transitions()
+    for xt, xprev in zip(X_t[:8000], X_prev[:8000]):  # 2000 trajectories
+        observed = xt != mask_token(2)
+        violations += int(np.any(xprev[observed] != xt[observed]))
+        violations += int(np.any((xprev == mask_token(2)) & observed))
     # bulk check vectorized over all trajectories
-    S = [np.stack([tr.states[i] for tr in trs]) for i in range(5)]
+    S = [trs.states[:, i] for i in range(5)]
     for i in range(4):
         observed = S[i] != mask_token(2)
         violations += int(np.any(S[i + 1][observed] != S[i][observed]))

@@ -8,7 +8,6 @@ from emdiff.errors import ConfigError
 from emdiff.numkit import RngStream, log_sum_exp
 from emdiff.rewards import LinearReward, ModePreferenceReward
 from emdiff.schedules import make_continuous_schedule
-from emdiff.trajectory import stack_terminals
 
 
 @pytest.fixture
@@ -204,8 +203,7 @@ def test_rollout_matches_single_gaussian_marginal(schedule):
     mix = single_gauss(mu=(2.0, -1.0), s=1.0)
     pol = ContinuousPolicy(schedule, mix, rng=RngStream(12))
     n = 10_000
-    trs = pol.rollout(RngStream(13), n)
-    X = stack_terminals(trs)
+    X = pol.rollout(RngStream(13), n).terminals
     se_mean = 3.0 / np.sqrt(n)
     assert np.all(np.abs(X.mean(axis=0) - [2.0, -1.0]) < se_mean)
     se_var = 3.0 * np.sqrt(2.0 / n)
@@ -220,8 +218,8 @@ def test_rollout_rejects_nonpositive_n(schedule):
 
 def test_rollout_deterministic_under_seed(schedule):
     pol = ContinuousPolicy(schedule, single_gauss(), rng=RngStream(15))
-    a = stack_terminals(pol.rollout(RngStream(44), 5))
-    b = stack_terminals(pol.rollout(RngStream(44), 5))
+    a = pol.rollout(RngStream(44), 5).terminals
+    b = pol.rollout(RngStream(44), 5).terminals
     np.testing.assert_array_equal(a, b)
 
 

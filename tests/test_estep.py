@@ -4,10 +4,9 @@ import pytest
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, TabularDenoiser, mask_token,
                              pretrain)
-from emdiff.errors import ConfigError, DegenerateWeightsError
-from emdiff.estep import (EStepConfig, ParticleSet, importance_weights,
-                          propose_continuous, propose_discrete, resample,
-                          sample_posterior_trajectory, search_step)
+from emdiff.errors import ConfigError
+from emdiff.estep import (EStepConfig, sample_posterior_batch,
+                          search_step_batch)
 from emdiff.numkit import RngStream
 from emdiff.oracle import resampled_next_state_tv
 from emdiff.rewards import (LinearReward, MotifCountReward, Reward,
@@ -18,6 +17,15 @@ from emdiff.softq import ExactSoftTables, SoftQConfig
 MASK = mask_token(2)
 
 CHI2_99_DF3 = 11.344866730144373
+
+# search_step_batch info fields
+LOG_PRIOR, LOG_PROP, CORR, QHAT, ENTROPY, FALLBACK = range(6)
+
+
+def rows(x, n):
+    """n copies of one state, as a batch of search rows."""
+    x = np.asarray(x)
+    return np.broadcast_to(x, (n,) + x.shape).copy()
 
 
 @pytest.fixture
@@ -62,35 +70,38 @@ def test_config_validation():
 def test_zero_gradient_proposal_equals_prior(cont_policy):
     reward = LinearReward([0.0, 0.0])
     cfg = EStepConfig(alpha=0.1, gamma=0.9, particles=6, guidance=True)
-    pset = propose_continuous(cont_policy, reward, np.array([0.4, -0.2]), 5,
-                              cfg, RngStream(1))
-    np.testing.assert_array_equal(pset.log_proposal, pset.log_prior)
+    _, info = search_step_batch(cont_policy, reward,
+                                rows([0.4, -0.2], 50), 5, cfg, RngStream(1))
+    np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
 
 
 def test_guidance_off_log_ratio_bit_exact_zero(cont_policy):
     reward = LinearReward([0.7, -0.3])
     cfg = EStepConfig(alpha=0.1, gamma=0.9, particles=6, guidance=False)
-    pset = propose_continuous(cont_policy, reward, np.array([1.0, 0.5]), 4,
-                              cfg, RngStream(2))
-    assert np.all(pset.log_proposal - pset.log_prior == 0.0)
+    _, info = search_step_batch(cont_policy, reward, rows([1.0, 0.5], 50), 4,
+                                cfg, RngStream(2))
+    assert np.all(info[LOG_PROP] - info[LOG_PRIOR] == 0.0)
 
 
 def test_continuous_shift_affine_hand_value(cont_policy):
-    # single Gaussian: x0hat affine, shift = (sig2/alpha) gamma^(t-1) J^T c
+    # single Gaussian: x0hat affine, shift = (sig2/alpha) gamma^(t-1) J^T c.
+    # One particle per row, so the kept states are the proposal draws.
     c = np.array([0.5, -1.0])
     reward = LinearReward(c)
-    cfg = EStepConfig(alpha=0.2, gamma=0.9, particles=2000, guidance=True)
+    cfg = EStepConfig(alpha=0.2, gamma=0.9, particles=1, guidance=True)
     x = np.array([0.3, 0.9])
     t = 4
+    n = 2000
     sched = cont_policy.schedule
-    pset = propose_continuous(cont_policy, reward, x, t, cfg, RngStream(3))
+    nxt, _ = search_step_batch(cont_policy, reward, rows(x, n), t, cfg,
+                               RngStream(3))
     ab = sched.alpha_bar[t]
     s2 = 0.8**2
     v = ab * s2 + 1 - ab
     slope = np.sqrt(ab) * s2 / v
     shift = sched.sig2[t] / 0.2 * 0.9 ** (t - 1) * slope * c
-    emp = pset.states.mean(axis=0) - cont_policy.mean(x, t)
-    se = 3 * np.sqrt(sched.sig2[t] / cfg.particles)
+    emp = nxt.mean(axis=0) - cont_policy.mean(x, t)
+    se = 3 * np.sqrt(sched.sig2[t] / n)
     assert np.all(np.abs(emp - shift) < se)
 
 
@@ -107,14 +118,14 @@ def test_alpha_doubling_halves_shift_exactly(cont_policy):
         return (sched.sig2[t] / alpha) * 0.9 ** (t - 1) * g
 
     np.testing.assert_array_equal(shift(0.2), 2.0 * shift(0.4))
-    # end to end: same rng gives same noise, so the particle clouds differ
-    # by a constant offset equal to the shift difference
+    # end to end: same rng gives same noise, so the single-particle draws
+    # differ by a constant offset equal to the shift difference
     out = {}
     for alpha in (0.2, 0.4):
-        cfg = EStepConfig(alpha=alpha, gamma=0.9, particles=3, guidance=True)
-        out[alpha] = propose_continuous(cont_policy, reward, x, t, cfg,
-                                        RngStream(4))
-    diff = out[0.2].states - out[0.4].states
+        cfg = EStepConfig(alpha=alpha, gamma=0.9, particles=1, guidance=True)
+        out[alpha], _ = search_step_batch(cont_policy, reward, rows(x, 3), t,
+                                          cfg, RngStream(4))
+    diff = out[0.2] - out[0.4]
     np.testing.assert_allclose(diff, np.broadcast_to(shift(0.4), diff.shape),
                                atol=1e-12)
 
@@ -122,50 +133,51 @@ def test_alpha_doubling_halves_shift_exactly(cont_policy):
 def test_alpha_reward_joint_scaling_bit_exact(cont_policy):
     # doubling both alpha and the reward leaves weights bit-identical
     x = np.array([0.2, -0.6])
-    psets = []
+    outs = []
     for kappa in (1.0, 2.0):
         reward = LinearReward(kappa * np.array([0.7, 0.1]))
         cfg = EStepConfig(alpha=kappa * 0.2, gamma=0.9, particles=8,
                           guidance=True)
-        pset = propose_continuous(cont_policy, reward, x, 5, cfg, RngStream(6))
-        importance_weights(pset, cfg)
-        psets.append(pset)
-    np.testing.assert_array_equal(psets[0].states, psets[1].states)
-    np.testing.assert_array_equal(psets[0].weights, psets[1].weights)
+        outs.append(search_step_batch(cont_policy, reward, rows(x, 20), 5,
+                                      cfg, RngStream(6)))
+    np.testing.assert_array_equal(outs[0][0], outs[1][0])
+    for field in (CORR, ENTROPY):
+        np.testing.assert_array_equal(outs[0][1][field], outs[1][1][field])
 
 
 def test_alpha_reward_joint_scaling_bit_exact_discrete():
     policy, _ = tiny_discrete()
     xt = np.array([MASK, MASK])
-    psets = []
+    outs = []
     for kappa in (1.0, 2.0):
         reward = ScaledMotif(np.array([0, 1]), 2, kappa)
         cfg = EStepConfig(alpha=kappa * 0.3, gamma=1.0, particles=8,
                           guidance=True)
-        pset = propose_discrete(policy, reward, xt, 2, cfg, RngStream(7))
-        importance_weights(pset, cfg)
-        psets.append(pset)
-    np.testing.assert_array_equal(psets[0].states, psets[1].states)
-    np.testing.assert_array_equal(psets[0].weights, psets[1].weights)
+        outs.append(search_step_batch(policy, reward, rows(xt, 20), 2, cfg,
+                                      RngStream(7)))
+    np.testing.assert_array_equal(outs[0][0], outs[1][0])
+    for field in (CORR, ENTROPY):
+        np.testing.assert_array_equal(outs[0][1][field], outs[1][1][field])
 
 
 def test_discrete_guidance_doubles_target_token_odds():
     # uniform prior over {a, b, MASK} at s/t = 1/3; a log-2 logit bump on
-    # token a doubles its odds against b
+    # token a doubles its odds against b. One particle per row, so the kept
+    # states are the proposal draws.
     sched = make_discrete_schedule(3)
     den = TabularDenoiser(1, 2)
     policy = DiscretePolicy(sched, den)
     alpha = 0.4
     scale = alpha * np.log(2.0)  # gamma = 1, so coefficient is exactly log 2
     reward = ScaledTokenRewardForGuidance(0, 2, scale)
-    cfg = EStepConfig(alpha=alpha, gamma=1.0, particles=60_000, guidance=True)
-    pset = propose_discrete(policy, reward, np.array([MASK]), 3, cfg,
-                            RngStream(8))
-    counts = np.bincount(pset.states[:, 0], minlength=3)
+    cfg = EStepConfig(alpha=alpha, gamma=1.0, particles=1, guidance=True)
+    nxt, info = search_step_batch(policy, reward, rows([MASK], 60_000), 3,
+                                  cfg, RngStream(8))
+    counts = np.bincount(nxt[:, 0], minlength=3)
     ratio = counts[0] / counts[1]
     assert abs(ratio - 2.0) < 0.12
     # prior untouched by guidance
-    prior_rows = np.exp(pset.log_prior)
+    prior_rows = np.exp(info[LOG_PRIOR])
     assert prior_rows.shape == (60_000,)
 
 
@@ -188,9 +200,10 @@ def test_discrete_guidance_off_matches_prior_rows():
     policy, reward = tiny_discrete()
     xt = np.array([MASK, 0])
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=12, guidance=False)
-    pset = propose_discrete(policy, reward, xt, 2, cfg, RngStream(9))
-    np.testing.assert_array_equal(pset.log_proposal, pset.log_prior)
-    assert np.all(pset.states[:, 1] == 0)  # carry-over position fixed
+    nxt, info = search_step_batch(policy, reward, rows(xt, 40), 2, cfg,
+                                  RngStream(9))
+    np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
+    assert np.all(nxt[:, 1] == 0)  # carry-over position fixed
 
 
 def test_importance_weights_uniform_for_constant_reward():
@@ -208,27 +221,41 @@ def test_importance_weights_uniform_for_constant_reward():
 
     policy, _ = tiny_discrete()
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=5, guidance=False)
-    pset = propose_discrete(policy, Const(), np.array([MASK, MASK]), 2, cfg,
-                            RngStream(10))
-    importance_weights(pset, cfg)
-    np.testing.assert_allclose(pset.weights, 0.2, atol=1e-15)
+    _, info = search_step_batch(policy, Const(), rows([MASK, MASK], 30), 2,
+                                cfg, RngStream(10))
+    # the kept particle's weight is exp(corr) / M
+    np.testing.assert_allclose(np.exp(info[CORR]) / 5, 0.2, atol=1e-15)
+    np.testing.assert_allclose(info[ENTROPY], np.log(5.0), atol=1e-14)
+
+
+class LogThreeOnTokenOne(Reward):
+    """r = log 3 on token 1 and 0 on token 0 (length-1 sequences)."""
+
+    def __init__(self):
+        super().__init__("log3", "discrete")
+
+    def value(self, x0):
+        return np.log(3.0) * (np.asarray(x0)[..., 0] == 1)
+
+    def relaxed_value(self, probs):
+        return np.log(3.0) * np.asarray(probs)[..., 0, 1]
 
 
 def test_importance_weights_hand_normalization():
-    pset = ParticleSet(states=np.zeros((2, 1)),
-                       log_proposal=np.zeros(2), log_prior=np.zeros(2),
-                       qhat=np.array([0.0, np.log(3.0)]))
-    importance_weights(pset, EStepConfig(alpha=1.0, particles=2))
-    np.testing.assert_allclose(pset.weights, [0.25, 0.75], atol=1e-12)
-    assert abs(pset.weights.sum() - 1.0) < 1e-12
-
-
-def test_importance_weights_degenerate_raises():
-    pset = ParticleSet(states=np.zeros((3, 1)),
-                       log_proposal=np.zeros(3), log_prior=np.zeros(3),
-                       qhat=np.full(3, -np.inf))
-    with pytest.raises(DegenerateWeightsError):
-        importance_weights(pset, EStepConfig(alpha=1.0, particles=3))
+    # two particles per row at t = 1 (every mask must resolve); a row that
+    # drew one of each token has weights (1/4, 3/4) at alpha = 1
+    policy = DiscretePolicy(make_discrete_schedule(3), TabularDenoiser(1, 2))
+    cfg = EStepConfig(alpha=1.0, gamma=1.0, particles=2, guidance=False)
+    nxt, info = search_step_batch(policy, LogThreeOnTokenOne(),
+                                  rows([MASK], 400), 1, cfg, RngStream(11))
+    w_kept = np.exp(info[CORR]) / 2
+    mixed = np.abs(w_kept - 0.5) > 1e-9
+    assert 100 < mixed.sum() < 300
+    np.testing.assert_allclose(w_kept[mixed],
+                               np.where(nxt[mixed, 0] == 1, 0.75, 0.25),
+                               atol=1e-12)
+    h = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
+    np.testing.assert_allclose(info[ENTROPY][mixed], h, atol=1e-12)
 
 
 def test_search_step_falls_back_to_uniform_on_degenerate():
@@ -246,45 +273,69 @@ def test_search_step_falls_back_to_uniform_on_degenerate():
 
     policy, _ = tiny_discrete()
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=4, guidance=False)
-    nxt, pset, log = search_step(policy, MinusInf(), np.array([MASK, MASK]),
-                                 2, cfg, RngStream(11))
-    assert pset.fallback
-    np.testing.assert_allclose(pset.weights, 0.25, atol=1e-15)
+    _, info = search_step_batch(policy, MinusInf(), rows([MASK, MASK], 20), 2,
+                                cfg, RngStream(11))
+    assert np.all(info[FALLBACK])
+    np.testing.assert_allclose(np.exp(info[CORR]) / 4, 0.25, atol=1e-15)
+    np.testing.assert_allclose(info[ENTROPY], np.log(4.0), atol=1e-15)
 
 
 def test_resample_point_mass_and_chi2():
-    pset = ParticleSet(states=np.arange(4)[:, None].astype(float),
-                       log_proposal=np.zeros(4), log_prior=np.zeros(4),
-                       qhat=np.zeros(4),
-                       weights=np.array([0.0, 1.0, 0.0, 0.0]))
-    assert all(resample(pset, RngStream(12)) == 1 for _ in range(10))
-    pset.weights = np.full(4, 0.25)
-    rng = RngStream(13)
-    draws = np.array([resample(pset, rng) for _ in range(20_000)])
-    counts = np.bincount(draws, minlength=4)
+    # length-1 sequences at t = 1: every particle resolves to a token
+    sched = make_discrete_schedule(3)
+    # token 0 has -inf reward, so every row that drew a token-1 particle
+    # keeps it; rows without one fall back
+    policy = DiscretePolicy(sched, TabularDenoiser(1, 2))
+    cfg = EStepConfig(alpha=1.0, gamma=1.0, particles=4, guidance=False)
+
+    class OnlyTokenOne(Reward):
+        def __init__(self):
+            super().__init__("only1", "discrete")
+
+        def value(self, x0):
+            return np.where(np.asarray(x0)[..., 0] == 1, 0.0, -np.inf)
+
+        def relaxed_value(self, probs):
+            with np.errstate(divide="ignore"):
+                return np.log(np.asarray(probs)[..., 0, 1])
+
+    nxt, info = search_step_batch(policy, OnlyTokenOne(), rows([MASK], 200),
+                                  1, cfg, RngStream(12))
+    assert np.all(nxt[~info[FALLBACK], 0] == 1)
+    assert (~info[FALLBACK]).sum() > 150
+    # uniform weights over a uniform 4-token proposal: kept tokens uniform
+    policy4 = DiscretePolicy(sched, TabularDenoiser(1, 4))
+    const = MotifCountReward(np.array([0, 0]), 4)  # longer than L: always 0
+    flat = EStepConfig(alpha=1.0, gamma=1.0, particles=4, guidance=False)
+    draws, _ = search_step_batch(policy4, const, rows([4], 20_000), 1, flat,
+                                 RngStream(13))
+    counts = np.bincount(draws[:, 0], minlength=4)
     chi2 = np.sum((counts - 5000.0) ** 2 / 5000.0)
     assert chi2 < CHI2_99_DF3
     # determinism
-    a = [resample(pset, RngStream(14)) for _ in range(10)]
-    b = [resample(pset, RngStream(14)) for _ in range(10)]
-    assert a == b
+    a, _ = search_step_batch(policy4, const, rows([4], 10), 1, flat,
+                             RngStream(14))
+    b, _ = search_step_batch(policy4, const, rows([4], 10), 1, flat,
+                             RngStream(14))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_single_particle_no_selection_pressure():
     policy, reward = tiny_discrete()
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=1, guidance=False)
-    tr = sample_posterior_trajectory(policy, reward, cfg, RngStream(15))
-    for log in tr.step_logs:
-        assert log.log_weight_corr == 0.0
-        assert log.log_proposal == log.log_prior
+    T = policy.schedule.T
+    batch = sample_posterior_batch(policy, reward, cfg, RngStream(15), 10)
+    assert np.all(batch.log_weight_corr == 0.0)
+    for t in range(T, 0, -1):
+        _, info = search_step_batch(policy, reward, batch.states[:, T - t],
+                                    t, cfg, RngStream(15).child(t))
+        assert np.all(info[CORR] == 0.0)
+        np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
     # statistically a prior rollout: mean reward matches within 3 sigma
     n = 600
-    search_r = np.array([
-        sample_posterior_trajectory(policy, reward, cfg,
-                                    RngStream(16, i)).reward
-        for i in range(n)])
-    prior_r = np.array([reward.value(t.terminal)
-                        for t in policy.rollout(RngStream(17), n)])
+    search_r = sample_posterior_batch(policy, reward, cfg, RngStream(16),
+                                      n).rewards
+    prior_r = reward.value(policy.rollout(RngStream(17), n).terminals)
     se = np.sqrt(search_r.var() / n + prior_r.var() / n)
     assert abs(search_r.mean() - prior_r.mean()) < 3 * se + 1e-9
 
@@ -292,12 +343,18 @@ def test_single_particle_no_selection_pressure():
 def test_trajectory_shape_and_reward():
     policy, reward = tiny_discrete()
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=6, guidance=True)
-    tr = sample_posterior_trajectory(policy, reward, cfg, RngStream(18))
-    assert len(tr.states) == policy.schedule.T + 1
-    assert np.all(tr.states[0] == MASK)
-    assert np.all(tr.terminal != MASK)
-    assert tr.reward == reward.value(tr.terminal)
-    assert len(tr.step_logs) == policy.schedule.T
+    T = policy.schedule.T
+    batch = sample_posterior_batch(policy, reward, cfg, RngStream(18), 5)
+    assert batch.states.shape == (5, T + 1, 2)
+    assert np.all(batch.states[:, 0] == MASK)
+    assert np.all(batch.terminals != MASK)
+    np.testing.assert_array_equal(batch.rewards,
+                                  reward.value(batch.terminals))
+    for col in (batch.log_proposal, batch.log_weight_corr,
+                batch.weight_entropy):
+        assert col.shape == (5, T) and col.flags.c_contiguous
+    assert batch.fallbacks.shape == (5,)
+    assert batch.snapshot == policy.version
 
 
 def test_resampled_matches_exact_tilted_policy_at_t1():
@@ -319,12 +376,11 @@ def test_mean_reward_nondecreasing_in_particles():
     for m in (1, 16):
         vals = []
         for s in range(20):
-            r = [sample_posterior_trajectory(
-                    policy, reward,
-                    EStepConfig(alpha=0.3, gamma=1.0, particles=m,
-                                guidance=True),
-                    RngStream(100 + s, i)).reward for i in range(40)]
-            vals.append(np.mean(r))
+            cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=m,
+                              guidance=True)
+            batch = sample_posterior_batch(policy, reward, cfg,
+                                           RngStream(100 + s), 40)
+            vals.append(np.mean(batch.rewards))
         means.append(np.mean(vals))
     assert means[1] >= means[0]
 
@@ -359,19 +415,17 @@ def test_trajectory_distribution_tightens_with_particles():
 
     walk(start, 3, 1.0, tuple(start))
 
-    from emdiff.estep import sample_posterior_batch
-
     tv = {}
     for m in (4, 64):
         cfg_m = EStepConfig(alpha=1.0, gamma=1.0, particles=m, guidance=True)
         vals = []
         for seed in range(20):
-            trs = sample_posterior_batch(policy, reward, cfg_m,
-                                         RngStream(500 + seed), 2000)
+            batch = sample_posterior_batch(policy, reward, cfg_m,
+                                           RngStream(500 + seed), 2000)
             emp = {}
-            for tr in trs:
-                key = tuple(np.concatenate(tr.states))
-                emp[key] = emp.get(key, 0.0) + 1.0 / len(trs)
+            for row in batch.states:
+                key = tuple(row.ravel())
+                emp[key] = emp.get(key, 0.0) + 1.0 / batch.n
             keys = set(exact) | set(emp)
             vals.append(0.5 * sum(abs(exact.get(k, 0.0) - emp.get(k, 0.0))
                                   for k in keys))

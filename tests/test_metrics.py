@@ -4,7 +4,7 @@ import pytest
 from emdiff.continuous import GaussianMixture
 from emdiff.discrete import DiscretePolicy, TabularDenoiser, pretrain
 from emdiff.errors import ConfigError
-from emdiff.estep import EStepConfig, sample_posterior_trajectory
+from emdiff.estep import EStepConfig, sample_posterior_batch
 from emdiff.metrics import (diversity, elbo_by_path_enumeration,
                             elbo_exact_tabular, elbo_surrogate, levenshtein,
                             mode_coverage, ngram_frequency_correlation)
@@ -12,6 +12,7 @@ from emdiff.numkit import RngStream
 from emdiff.rewards import MotifCountReward, Reward
 from emdiff.schedules import make_discrete_schedule
 from emdiff.softq import ExactSoftTables, SoftQConfig
+from emdiff.trajectory import TrajectoryBatch
 
 
 def tiny_policy(T=3, skew=True):
@@ -78,14 +79,13 @@ def test_mode_coverage_counts_hit_components():
 def test_mode_coverage_pretrained_rollouts():
     from emdiff.continuous import ContinuousPolicy
     from emdiff.schedules import make_continuous_schedule
-    from emdiff.trajectory import stack_terminals
 
     mix = GaussianMixture([0.25] * 4,
                           [[4, 4], [-4, 4], [-4, -4], [4, -4]],
                           [0.7] * 4)
     sched = make_continuous_schedule(50, 0.02, 0.32)
     pol = ContinuousPolicy(sched, mix, rng=RngStream(1))
-    X = stack_terminals(pol.rollout(RngStream(2), 1000))
+    X = pol.rollout(RngStream(2), 1000).terminals
     assert mode_coverage(X, mix, radius_scale=2.0) == 1.0
 
 
@@ -139,8 +139,6 @@ def test_elbo_constant_reward_reduces_to_constant():
 
 
 def test_surrogate_matches_exact_on_tabular_instance():
-    from emdiff.estep import sample_posterior_batch
-
     policy, reward = tiny_policy()
     alpha, gamma = 0.5, 1.0
     tables = ExactSoftTables(policy.schedule, policy.denoiser, reward,
@@ -156,19 +154,50 @@ def test_surrogate_prior_policy_single_particle_reduces_to_reward_term():
     policy, reward = tiny_policy()
     alpha, gamma = 0.5, 0.9
     cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=1, guidance=False)
-    batch = [sample_posterior_trajectory(policy, reward, cfg,
-                                         RngStream(6).child(i))
-             for i in range(50)]
+    batch = sample_posterior_batch(policy, reward, cfg, RngStream(6), 50)
     sur = elbo_surrogate(policy, batch, alpha, gamma)
-    expect = np.mean([gamma ** (tr.T - 1) * tr.reward / alpha
-                      for tr in batch])
+    expect = np.mean(gamma ** (batch.T - 1) * batch.rewards / alpha)
     assert sur == pytest.approx(expect, abs=1e-12)
+
+
+def test_surrogate_matches_per_transition_reference():
+    from emdiff.continuous import ContinuousPolicy
+    from emdiff.rewards import LinearReward
+    from emdiff.schedules import make_continuous_schedule
+
+    mix = GaussianMixture([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]], [0.7, 0.7])
+    cont = ContinuousPolicy(make_continuous_schedule(6, 0.05, 0.35), mix,
+                            residual_widths=(6,), rng=RngStream(3))
+    for p in cont.params():
+        p += 0.1 * RngStream(4).normal(p.shape)
+    disc_policy, motif = tiny_policy()
+    alpha, gamma = 0.5, 0.9
+    cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=4, guidance=True)
+    for policy, reward in ((cont, LinearReward([1.0, 0.0])),
+                           (disc_policy, motif)):
+        batch = sample_posterior_batch(policy, reward, cfg, RngStream(9), 6)
+        T = batch.T
+        ref = 0.0
+        for i, states in enumerate(batch.states):
+            acc = gamma ** (T - 1) * batch.rewards[i] / alpha
+            for j in range(T):
+                t = T - j
+                log_p = policy.logprob(states[j], states[j + 1], t)
+                log_eta = batch.log_proposal[i, j] + batch.log_weight_corr[i, j]
+                acc += gamma ** (T - t) * (log_p - log_eta)
+            ref += acc / batch.n
+        sur = elbo_surrogate(policy, batch, alpha, gamma)
+        assert sur == pytest.approx(ref, abs=1e-12)
 
 
 def test_surrogate_needs_batch():
     policy, _ = tiny_policy()
     with pytest.raises(ConfigError):
-        elbo_surrogate(policy, [], 0.5, 1.0)
+        elbo_surrogate(policy, TrajectoryBatch(
+            states=np.zeros((0, 4, 2), dtype=np.int64)), 0.5, 1.0)
+    rollouts = policy.rollout(RngStream(8), 4)  # no search logs
+    with pytest.raises(ConfigError):
+        elbo_surrogate(policy, rollouts, 0.5, 1.0)
 
 
 def test_ngram_correlation_self_is_one():

@@ -5,12 +5,13 @@ from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import DiscretePolicy, TabularDenoiser, mask_token, pretrain
 from emdiff.errors import (ConfigError, RunAbortedError,
                            UnreachableTransitionError)
-from emdiff.estep import EStepConfig, sample_posterior_trajectory
+from emdiff.estep import EStepConfig, sample_posterior_batch
 from emdiff.mstep import MStepConfig, loss_and_grads, update
 from emdiff.numkit import RngStream
 from emdiff.optim import Adam
 from emdiff.rewards import LinearReward, MotifCountReward
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
+from emdiff.trajectory import TrajectoryBatch
 
 MASK = mask_token(2)
 
@@ -39,8 +40,7 @@ def make_batch(policy, reward, n, seed=1, alpha=0.3, gamma=1.0, particles=4,
                guidance=True):
     cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=particles,
                       guidance=guidance)
-    return [sample_posterior_trajectory(policy, reward, cfg,
-                                        RngStream(seed, i)) for i in range(n)]
+    return sample_posterior_batch(policy, reward, cfg, RngStream(seed), n)
 
 
 def fd_check(policy, pretrained, batch, mcfg, h=1e-5):
@@ -118,16 +118,11 @@ def test_gaussian_kl_hand_value():
     net.biases[-1][...] = 0.0
     # out = W h + b with zero W: set bias so sig2 * raw = (sig, 0)
     net.biases[-1][0] = 1.0 / sig
-    from emdiff.trajectory import Trajectory
-
     x_t = np.array([0.5, -0.5])
     x_prev = policy.analytic_mean(x_t, t)
-    tr = Trajectory(states=[x_t, x_prev], T=1, snapshot=policy.version)
-    tr_t = Trajectory(states=[x_t, x_prev], T=1)
-    # single transition at timestep 1 == t? force by schedule index: build a
-    # trajectory whose only step is at t by adjusting T
-    tr = Trajectory(states=[x_t] + [x_prev] * t, T=t)
-    _, _, kl, _ = loss_and_grads(policy, pretrained, [tr],
+    # a trajectory of t steps, so that one of its steps is at timestep t
+    tr = TrajectoryBatch(states=np.array([[x_t] + [x_prev] * t]))
+    _, _, kl, _ = loss_and_grads(policy, pretrained, tr,
                                  MStepConfig(kl_coeff=1.0))
     # only the step at timestep t has the bias shift; earlier steps have the
     # same residual bias, so subtract their contributions analytically
@@ -149,8 +144,9 @@ def test_score_function_mean_zero_on_prior_rollouts():
     trs = policy.rollout(RngStream(33), n)
     mcfg = MStepConfig()
     per_traj = []
-    for tr in trs:
-        _, _, _, grads = loss_and_grads(policy, pretrained, [tr], mcfg)
+    for states in trs.states:
+        one = TrajectoryBatch(states=states[None])
+        _, _, _, grads = loss_and_grads(policy, pretrained, one, mcfg)
         per_traj.append(np.concatenate([g.ravel() for g in grads]))
     G = np.stack(per_traj)
     mean = G.mean(axis=0)
@@ -184,7 +180,7 @@ def test_anchor_dominance_pins_policy_to_pretrained():
            expected_snapshot=policy.version - 0)
     _, _, kl, _ = loss_and_grads(policy, pretrained, batch,
                                  MStepConfig(kl_coeff=1.0))
-    n_steps = sum(tr.T for tr in batch) / len(batch)
+    n_steps = batch.T
     assert kl / n_steps < 1e-4
 
 
@@ -204,8 +200,7 @@ def test_update_reports_and_lr_zero_is_identity():
 def test_update_rejects_stale_snapshot():
     policy, pretrained, reward = disc_setup()
     batch = make_batch(policy, reward, 3)
-    for tr in batch:
-        tr.snapshot = 99
+    batch.snapshot = 99
     mcfg = MStepConfig()
     with pytest.raises(ConfigError):
         update(policy, pretrained, batch, mcfg, Adam(policy.params()))
@@ -214,8 +209,8 @@ def test_update_rejects_stale_snapshot():
 def test_update_aborts_on_nonfinite():
     policy, pretrained, reward = cont_setup()
     batch = make_batch(policy, reward, 3, gamma=0.9)
-    batch[0].states[2][0] = np.nan
-    with pytest.raises((RunAbortedError, ValueError)):
+    batch.states[0, 2, 0] = np.nan
+    with pytest.raises(RunAbortedError):
         update(policy, pretrained, batch, MStepConfig(),
                Adam(policy.params()))
 
@@ -224,11 +219,8 @@ def test_discrete_batch_carry_over_violation_is_data_error():
     policy, pretrained, reward = disc_setup()
     batch = make_batch(policy, reward, 3)
     # flip an unmasked token mid-trajectory
-    states = batch[0].states
-    states[-1] = states[-1].copy()
-    states[-2] = states[-2].copy()
-    states[-2][0] = 0
-    states[-1][0] = 1
+    batch.states[0, -2, 0] = 0
+    batch.states[0, -1, 0] = 1
     with pytest.raises(UnreachableTransitionError):
         loss_and_grads(policy, pretrained, batch, MStepConfig())
 
@@ -237,7 +229,8 @@ def test_reweight_style_trajectory_weights():
     policy, pretrained, reward = disc_setup()
     batch = make_batch(policy, reward, 4)
     w = np.array([1.0, 0.0, 0.0, 0.0])
-    t_all, *_ = loss_and_grads(policy, pretrained, [batch[0]], MStepConfig())
+    first = TrajectoryBatch(states=batch.states[:1])
+    t_all, *_ = loss_and_grads(policy, pretrained, first, MStepConfig())
     t_w, *_ = loss_and_grads(policy, pretrained, batch, MStepConfig(),
                              traj_weights=w)
     assert t_w == pytest.approx(t_all, abs=1e-12)
@@ -255,9 +248,32 @@ def test_training_loss_decreases_within_most_epochs():
     wins = 0
     epochs = 20
     for e in range(epochs):
-        batch = [sample_posterior_trajectory(policy, reward, ecfg,
-                                             RngStream(50).child(e, i))
-                 for i in range(24)]
+        batch = sample_posterior_batch(policy, reward, ecfg,
+                                       RngStream(50).child(e), 24)
         report = update(policy, pretrained, batch, mcfg, opt)
         wins += report["loss_after"] < report["loss_before"]
     assert wins >= 0.9 * epochs
+
+
+@pytest.mark.parametrize("world", ["continuous", "discrete"])
+def test_columnar_loss_matches_per_transition_reference(world):
+    # the batched NLL against a loop of single-transition log-probabilities
+    rng = np.random.default_rng(7)
+    if world == "continuous":
+        policy, pretrained, reward = cont_setup(3)
+        for p in policy.params():
+            p += 0.1 * rng.standard_normal(p.shape)
+    else:
+        policy, pretrained, reward = disc_setup(3)
+        policy.denoiser.table += 0.2 * rng.standard_normal(
+            policy.denoiser.table.shape)
+    batch = make_batch(policy, reward, 5, seed=40, gamma=0.9)
+    total, nll, kl, _ = loss_and_grads(policy, pretrained, batch,
+                                       MStepConfig())
+    ref = 0.0
+    for states in batch.states:
+        for i in range(batch.T):
+            ref -= policy.logprob(states[i], states[i + 1],
+                                  batch.T - i) / batch.n
+    assert nll == pytest.approx(ref, abs=1e-12)
+    assert total == nll

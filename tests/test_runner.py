@@ -5,9 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from emdiff import cli, runner
-from emdiff.checkpoint import load_checkpoint
-from emdiff.errors import ConfigError, OracleUnavailableError
+from emdiff import checkpoint, cli, runner
+from emdiff.checkpoint import load_checkpoint, save_checkpoint
+from emdiff.errors import ConfigError, OracleUnavailableError, RunAbortedError
 
 
 def tiny_cfg(**over):
@@ -131,6 +131,88 @@ def test_checkpoint_resume_bit_exact(cfg_fn, tmp_path):
         read(os.path.join(resume_dir, "metrics.csv"))
 
 
+def test_resume_of_finished_run_drops_later_rows(tmp_path):
+    # resuming a finished run from a mid-run checkpoint recomputes the rows
+    # after it instead of appending a second copy
+    full_dir = str(tmp_path / "full")
+    runner.run_align(tiny_cfg(), full_dir)
+    resume_dir = str(tmp_path / "again")
+    shutil.copytree(full_dir, resume_dir)
+    runner.run_align(tiny_cfg(), resume_dir,
+                     resume=os.path.join(resume_dir, "ckpt_epoch0002.json"))
+    csv = read(os.path.join(resume_dir, "metrics.csv"))
+    epochs = [line.split(b",")[0] for line in csv.splitlines()[1:]]
+    assert epochs == [b"0", b"1", b"2", b"3", b"4"]
+    assert csv == read(os.path.join(full_dir, "metrics.csv"))
+
+
+def test_resume_rejects_variant_mismatch(tmp_path, monkeypatch):
+    out = runner.run_align(tiny_cfg(epochs=2), str(tmp_path / "dav"))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("setup started before the variant check")
+
+    monkeypatch.setattr(runner, "Setup", no_compute)
+    with pytest.raises(ConfigError, match="variant"):
+        runner.run_align(tiny_cfg(epochs=3), str(tmp_path / "dav"),
+                         variant="reweight", resume=out["checkpoint"])
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    out = runner.run_align(tiny_cfg(epochs=0), str(tmp_path / "w"))
+    path = out["checkpoint"]
+    before = load_checkpoint(path)
+
+    class Torn:
+        """A file whose write stops halfway with a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda p, mode="r": Torn(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, cfg=before["config"], variant="dav", epoch=9,
+                        seed=0, policy_version=9, params=before["params"],
+                        pretrained_params=before["pretrained_params"],
+                        opt_state=before["opt"])
+    monkeypatch.undo()
+    after = load_checkpoint(path)
+    assert after["epoch"] == before["epoch"]
+    for a, b in zip(after["params"], before["params"]):
+        np.testing.assert_array_equal(a, b)
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_nonfinite_residual_aborts_with_abort_file(tmp_path):
+    run_dir = str(tmp_path / "nan")
+    out = runner.run_align(cont_cfg(epochs=2), run_dir)
+    payload = load_checkpoint(out["checkpoint"])
+    payload["params"][0][0, 0] = np.nan
+    save_checkpoint(out["checkpoint"], cfg=payload["config"],
+                    variant=payload["variant"], epoch=payload["epoch"],
+                    seed=payload["seed"],
+                    policy_version=payload["policy_version"],
+                    params=payload["params"],
+                    pretrained_params=payload["pretrained_params"],
+                    opt_state=payload["opt"])
+    with pytest.raises(RunAbortedError):
+        runner.run_align(cont_cfg(), run_dir, resume=out["checkpoint"])
+    with open(os.path.join(run_dir, "abort.txt")) as fh:
+        assert "non-finite" in fh.read()
+
+
 def test_resume_rejects_config_mismatch(tmp_path):
     out = runner.run_align(tiny_cfg(), str(tmp_path / "r"))
     other = tiny_cfg(seed=99)
@@ -233,14 +315,6 @@ def test_oracle_runner_passes_and_writes_report(tmp_path):
 def test_oracle_rejects_continuous_world(tmp_path):
     with pytest.raises(OracleUnavailableError):
         runner.run_oracle(cont_cfg(), str(tmp_path / "no"))
-
-
-def test_threaded_estep_matches_sequential(tmp_path, monkeypatch):
-    a = runner.run_align(tiny_cfg(epochs=2), str(tmp_path / "seq"))
-    monkeypatch.setenv("EMDIFF_THREADS", "4")
-    b = runner.run_align(tiny_cfg(epochs=2), str(tmp_path / "par"))
-    assert read(str(tmp_path / "seq" / "metrics.csv")) == \
-        read(str(tmp_path / "par" / "metrics.csv"))
 
 
 def test_cli_align_eval_oracle(tmp_path, capsys):
