@@ -100,7 +100,7 @@ def x0hat_jacobian(mixture, xt, abar):
 
 
 def reward_state_grad(mixture, reward, xt, abar, mode="exact"):
-    """Gradient of r(x0hat(x_t)) wrt x_t.
+    """x0hat(x_t) and the gradient of r(x0hat(x_t)) wrt x_t, as (xhat, grad).
 
     mode "exact" chains the closed-form posterior-mean Jacobian;
     "straight_through" treats x0hat as the identity map (the usual
@@ -108,12 +108,22 @@ def reward_state_grad(mixture, reward, xt, abar, mode="exact"):
     """
     if mode == "straight_through":
         xhat = x0hat(mixture, xt, abar)
-        return reward.grad(xhat)
+        return xhat, reward.grad(xhat)
     if mode != "exact":
         raise ConfigError(f"unknown guidance gradient mode {mode!r}")
     xhat, jac = x0hat_jacobian(mixture, xt, abar)
-    up = reward.grad(xhat)
-    return np.einsum("...ab,...a->...b", jac, up)
+    return xhat, np.einsum("...ab,...a->...b", jac, reward.grad(xhat))
+
+
+def gauss_logpdf(x, mean, sig2):
+    """log N(x; mean, sig2 I) over the last axis, the reverse-transition
+    density; sig2 is a scalar or broadcasts against x's leading shape."""
+    if np.any(sig2 <= 0):
+        raise ConfigError("sampling variance must be positive")
+    diff = np.asarray(x, dtype=float) - mean
+    d = diff.shape[-1]
+    return (-0.5 * d * np.log(2.0 * np.pi * sig2)
+            - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
 
 
 class ContinuousPolicy:
@@ -193,17 +203,8 @@ class ContinuousPolicy:
 
     def logprob(self, xt, xprev, t):
         """Gaussian log density of xprev under the policy at (xt, t)."""
-        mu = self.mean(xt, t)
-        return self._logprob_at_mean(mu, xprev, t)
-
-    def _logprob_at_mean(self, mu, xprev, t):
-        sig2 = self.schedule.sig2[np.asarray(t)]
-        if np.any(sig2 <= 0):
-            raise ConfigError("sampling variance must be positive")
-        diff = np.asarray(xprev, dtype=float) - mu
-        d = self.dim
-        return (-0.5 * d * np.log(2.0 * np.pi * sig2)
-                - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
+        return gauss_logpdf(xprev, self.mean(xt, t),
+                            self.schedule.sig2[np.asarray(t)])
 
     def step(self, xt, t, rng):
         mu = self.mean(xt, t)

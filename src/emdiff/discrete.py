@@ -160,22 +160,30 @@ def relaxed_x0(denoiser, tokens, t):
     return np.concatenate([p, pad], axis=-1)
 
 
-def subs_position_probs(schedule, denoiser, tokens, s, t):
-    """Per-position reverse-transition rows over K+1 classes, (L, K+1).
+def stay_emit(schedule, s, t):
+    """Reverse-step mixture weights of a masked position going from t to s:
+    it stays masked with probability (1-abar_s)/(1-abar_t) and emits a clean
+    token with probability (abar_s-abar_t)/(1-abar_t). s and t may be arrays.
+    """
+    ab_s, ab_t = schedule.alpha_bar[s], schedule.alpha_bar[t]
+    return (1.0 - ab_s) / (1.0 - ab_t), (ab_s - ab_t) / (1.0 - ab_t)
+
+
+def subs_position_probs(schedule, denoiser, tokens, s, t, x0=None):
+    """Per-position reverse-transition rows over K+1 classes, (..., L, K+1).
 
     Unmasked positions put mass 1 on their token; masked positions keep the
-    mask with probability (1-abar_s)/(1-abar_t) and otherwise emit from the
-    denoiser prediction.
+    mask with probability stay and otherwise emit from the denoiser
+    prediction (see stay_emit). x0 optionally supplies x0_probs(denoiser,
+    tokens, t) when the caller already has it.
     """
     if s >= t:
         raise ConfigError(f"reverse step needs s < t, got s={s} t={t}")
     schedule.check_t(t)
     tokens = np.asarray(tokens, dtype=np.int64)
     K = denoiser.K
-    ab_s, ab_t = schedule.alpha_bar[s], schedule.alpha_bar[t]
-    stay = (1.0 - ab_s) / (1.0 - ab_t)
-    emit = (ab_s - ab_t) / (1.0 - ab_t)
-    probs = x0_probs(denoiser, tokens, t)
+    stay, emit = stay_emit(schedule, s, t)
+    probs = x0_probs(denoiser, tokens, t) if x0 is None else x0
     rows = np.concatenate([emit * probs,
                            np.full(probs.shape[:-1] + (1,), stay)], axis=-1)
     observed = tokens != mask_token(K)
@@ -185,67 +193,43 @@ def subs_position_probs(schedule, denoiser, tokens, s, t):
     return np.where(observed[..., None], onehot, rows)
 
 
-def subs_reverse_step(schedule, denoiser, tokens, s, t, rng):
-    """Sample x_s | x_t under the substitution parameterization."""
-    rows = subs_position_probs(schedule, denoiser, tokens, s, t)
-    tokens = np.asarray(tokens, dtype=np.int64)
-    out = tokens.copy()
-    masked = np.flatnonzero(tokens == mask_token(denoiser.K))
-    u = rng.uniform(masked.size)
-    for j, pos in enumerate(masked):
-        cdf = np.cumsum(rows[pos])
-        cdf[-1] = 1.0
-        out[pos] = np.searchsorted(cdf, u[j], side="right")
-    return out
+def transition_logprob(schedule, denoiser, xt, xprev, t, x0=None):
+    """log p(x_{t-1} = xprev | x_t = xt) over aligned rows (..., L).
 
-
-def transition_logprob(schedule, denoiser, xt, xprev, s, t):
-    """log p(x_s = xprev | x_t = xt); raises on unreachable transitions."""
+    t is per row (broadcast against the leading shape). x0 optionally
+    supplies the clean-token probabilities at xt; only their masked
+    positions are read. Emitted-token probabilities are floored at 1e-300.
+    Raises UnreachableTransitionError if an unmasked token changes or a mask
+    is kept into s = 0.
+    """
     xt = np.asarray(xt, dtype=np.int64)
     xprev = np.asarray(xprev, dtype=np.int64)
-    K = denoiser.K
-    m = mask_token(K)
-    observed = xt != m
-    if np.any(observed & (xprev != xt)):
-        raise UnreachableTransitionError("carry-over violated: unmasked token changed")
-    ab_s = schedule.alpha_bar[s]
-    if ab_s >= 1.0 and np.any((~observed) & (xprev == m)):
-        raise UnreachableTransitionError("mask retained outside schedule support")
-    rows = subs_position_probs(schedule, denoiser, xt, s, t)
-    p = np.take_along_axis(rows, xprev[:, None], axis=-1)[:, 0]
-    if np.any(p[~observed] <= 0):
-        raise UnreachableTransitionError("zero-probability transition")
-    return float(np.sum(np.log(p[~observed])))
-
-
-def transition_logprob_batch(schedule, denoiser, Xt, Xprev, t_arr):
-    """Vectorized log p(x_s | x_t) over aligned row arrays (N, L).
-
-    Rows are assumed reverse-reachable (as produced by the sampler); use
-    transition_logprob for validated single transitions.
-    """
-    Xt = np.asarray(Xt, dtype=np.int64)
-    Xprev = np.asarray(Xprev, dtype=np.int64)
-    t_arr = np.asarray(t_arr)
-    K = denoiser.K
-    m = mask_token(K)
-    p0 = x0_probs(denoiser, Xt, t_arr)
-    ab_s = schedule.alpha_bar[t_arr - 1]
-    ab_t = schedule.alpha_bar[t_arr]
-    stay = (1.0 - ab_s) / (1.0 - ab_t)
-    emit = (ab_s - ab_t) / (1.0 - ab_t)
-    masked = Xt == m
-    to_mask = Xprev == m
+    t = np.asarray(t)
+    schedule.check_t(t.min())
+    schedule.check_t(t.max())
+    m = mask_token(denoiser.K)
+    masked = xt == m
+    to_mask = xprev == m
+    if np.any(~masked & (xprev != xt)):
+        raise UnreachableTransitionError(
+            "carry-over violated: unmasked token changed")
+    stay, emit = stay_emit(schedule, t - 1, t)
+    stay, emit = stay[..., None], emit[..., None]
+    if np.any(masked & to_mask & (stay <= 0)):
+        raise UnreachableTransitionError(
+            "mask retained outside schedule support")
+    if x0 is None:
+        x0 = x0_probs(denoiser, xt, t)
     emit_pos = masked & ~to_mask
-    tok = np.where(emit_pos, Xprev, 0)
-    p_tok = np.take_along_axis(p0, tok[..., None], axis=-1)[..., 0]
+    tok = np.where(emit_pos, xprev, 0)
+    p_tok = np.take_along_axis(x0, tok[..., None], axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
-        log_emit = np.log(emit)[:, None]
-        log_stay = np.log(stay)[:, None]
+        log_emit = np.log(emit)
+        log_stay = np.log(stay)
     logp = np.where(emit_pos, log_emit + np.log(np.maximum(p_tok, 1e-300)),
                     0.0)
     logp = logp + np.where(masked & to_mask, log_stay, 0.0)
-    return logp.sum(axis=1)
+    return logp.sum(axis=-1)
 
 
 def enumerate_transitions(schedule, denoiser, xt, s, t):
@@ -288,11 +272,7 @@ class DiscretePolicy:
         return DiscretePolicy(self.schedule, self.denoiser.copy())
 
     def logprob(self, xt, xprev, t):
-        return transition_logprob(self.schedule, self.denoiser, xt, xprev,
-                                  t - 1, t)
-
-    def step(self, xt, t, rng):
-        return subs_reverse_step(self.schedule, self.denoiser, xt, t - 1, t, rng)
+        return transition_logprob(self.schedule, self.denoiser, xt, xprev, t)
 
     def rollout(self, rng, n):
         """n reverse chains from the all-mask state, vectorized across n."""

@@ -41,13 +41,6 @@ class EStepConfig:
                 "set guidance off for black-box rewards")
 
 
-def _gauss_logpdf(x, mean, sig2):
-    diff = x - mean
-    d = x.shape[-1]
-    return (-0.5 * d * np.log(2.0 * np.pi * sig2)
-            - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
-
-
 def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
     """Vectorized proposal for a batch of states: (n, d) -> (n, M, d)."""
     sc = policy.schedule
@@ -56,14 +49,11 @@ def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
         cfg.validate_against(reward)
         # one mixture-statistics pass serves both the policy mean and the
         # guidance gradient
-        xhat, jac = cont.x0hat_jacobian(policy.mixture, X, sc.alpha_bar[t])
+        xhat, grad = cont.reward_state_grad(policy.mixture, reward, X,
+                                            sc.alpha_bar[t], cfg.grad_mode)
         mu_prior = policy.posterior_mean_from_x0hat(X, t, xhat)
         if not policy.frozen:
             mu_prior = mu_prior + policy.residual_shift(X, t)
-        if cfg.grad_mode == "straight_through":
-            grad = reward.grad(xhat)
-        else:
-            grad = np.einsum("...ab,...a->...b", jac, reward.grad(xhat))
         mu_prop = mu_prior + (sig2 / cfg.alpha) * cfg.gamma ** (t - 1) * grad
     else:
         mu_prior = policy.mean(X, t)
@@ -71,26 +61,20 @@ def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
     n, d = X.shape
     eps = rng.normal((n, cfg.particles, d))
     states = mu_prop[:, None, :] + np.sqrt(sig2) * eps
-    log_prop = _gauss_logpdf(states, mu_prop[:, None, :], sig2)
-    log_prior = _gauss_logpdf(states, mu_prior[:, None, :], sig2)
+    log_prop = cont.gauss_logpdf(states, mu_prop[:, None, :], sig2)
+    log_prior = cont.gauss_logpdf(states, mu_prior[:, None, :], sig2)
     r_hat = x0hat_reward(policy, reward, states, t - 1)
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 
 
 def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
     """Vectorized proposal for (n, L) token states -> (n, M, L)."""
-    sc = policy.schedule
     den = policy.denoiser
     n, L = X.shape
     M = cfg.particles
-    mask = disc.mask_token(den.K)
-    ab_s, ab_t = sc.alpha_bar[t - 1], sc.alpha_bar[t]
-    stay = (1.0 - ab_s) / (1.0 - ab_t)
-    emit = (ab_s - ab_t) / (1.0 - ab_t)
     p0 = disc.x0_probs(den, X, np.full(n, t))              # (n, L, K)
-    rows = np.concatenate([emit * p0,
-                           np.full((n, L, 1), stay)], axis=-1)
-    masked = X == mask
+    rows = disc.subs_position_probs(policy.schedule, den, X, t - 1, t, x0=p0)
+    masked = X == disc.mask_token(den.K)
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
     if cfg.guidance:

@@ -117,12 +117,7 @@ def elbo_surrogate(policy, batch, alpha, gamma):
         raise ConfigError("surrogate ELBO needs a non-empty search batch")
     n, T = batch.n, batch.T
     X_t, X_prev, t_rows = batch.transitions()
-    if hasattr(policy, "mixture"):
-        log_p = policy.logprob(X_t, X_prev, t_rows)
-    else:
-        log_p = disc.transition_logprob_batch(policy.schedule,
-                                              policy.denoiser, X_t, X_prev,
-                                              t_rows)
+    log_p = policy.logprob(X_t, X_prev, t_rows)
     log_eta = batch.log_proposal + batch.log_weight_corr
     disc_w = gamma ** (T - t_rows.reshape(n, T))
     per_traj = np.sum(disc_w * (log_p.reshape(n, T) - log_eta), axis=1) \

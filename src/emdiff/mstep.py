@@ -14,7 +14,7 @@ import numpy as np
 
 from . import continuous as cont
 from . import discrete as disc
-from .errors import ConfigError, RunAbortedError, UnreachableTransitionError
+from .errors import ConfigError, RunAbortedError
 from .numkit import softmax
 
 
@@ -86,11 +86,7 @@ def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base):
     raw, cache = policy.residual.forward_cache(inputs)
     delta = sig2[:, None] * raw
     mu = mu_base + delta
-    d = policy.dim
-    diff = X_prev - mu
-    logp = (-0.5 * d * np.log(2.0 * np.pi * sig2)
-            - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
-    nll = -float(row_w @ logp)
+    nll = -float(row_w @ cont.gauss_logpdf(X_prev, mu, sig2))
     up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
 
     delta0 = (sig2[:, None] * pretrained.residual.forward(inputs)
@@ -108,13 +104,9 @@ def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base):
 
 
 def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights):
-    sc = policy.schedule
     den = policy.denoiser
     m = disc.mask_token(den.K)
     rows_xt, rows_prev, rows_t = batch.transitions()
-    if np.any((rows_xt != m) & (rows_prev != rows_xt)):
-        raise UnreachableTransitionError(
-            "batch contains a carry-over violation")
     row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
 
     logits = den.logits(rows_xt, rows_t)              # (N, L, K)
@@ -122,33 +114,21 @@ def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights):
     logits0 = pretrained.denoiser.logits(rows_xt, rows_t)
     p0_pre = softmax(logits0, axis=-1)
 
-    ab_s = sc.alpha_bar[rows_t - 1]
-    ab_t = sc.alpha_bar[rows_t]
-    stay = (1.0 - ab_s) / (1.0 - ab_t)
-    emit = (ab_s - ab_t) / (1.0 - ab_t)
+    logp = disc.transition_logprob(policy.schedule, den, rows_xt, rows_prev,
+                                   rows_t, x0=p0)
+    nll = -float(row_w @ logp)
 
     masked = rows_xt == m
-    to_mask = rows_prev == m
-    emit_pos = masked & ~to_mask
-    if np.any(masked & to_mask & (stay[:, None] <= 0)):
-        raise UnreachableTransitionError("mask retained outside schedule support")
-
-    tok = np.where(emit_pos, rows_prev, 0)
-    p_tok = np.take_along_axis(p0, tok[..., None], axis=-1)[..., 0]
-    with np.errstate(divide="ignore"):
-        log_emit = np.log(emit)[:, None]
-        log_stay = np.log(stay)[:, None]
-    logp = np.where(emit_pos, log_emit + np.log(np.maximum(p_tok, 1e-300)), 0.0)
-    logp = logp + np.where(masked & to_mask, log_stay, 0.0)
-    nll = -float(row_w @ logp.sum(axis=1))
-
+    emit_pos = masked & (rows_prev != m)
     onehot = np.zeros_like(p0)
-    np.put_along_axis(onehot, tok[..., None], 1.0, axis=-1)
+    np.put_along_axis(onehot, np.where(emit_pos, rows_prev, 0)[..., None],
+                      1.0, axis=-1)
     dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) * row_w[:, None, None]
 
     # KL(p_theta || p_pre) per masked position, scaled by the emit mass
     logratio = np.log(p0) - np.log(p0_pre)
     kl_pos = np.sum(p0 * logratio, axis=-1)
+    _, emit = disc.stay_emit(policy.schedule, rows_t - 1, rows_t)
     kl_rows = np.where(masked, emit[:, None] * kl_pos, 0.0)
     kl = float(kl_w @ kl_rows.sum(axis=1))
     if mcfg.kl_coeff > 0:

@@ -2,6 +2,7 @@
 (explore, distill, evaluate), metrics emission, checkpointing, and the
 evaluation/oracle entry points used by the CLI."""
 
+import contextlib
 import copy
 import json
 import os
@@ -87,6 +88,8 @@ def resolve_config(raw):
         raise ConfigError("epochs must be >= 0")
     if cfg["batch"] < 1:
         raise ConfigError("batch must be >= 1")
+    if cfg["checkpoint_every"] < 1:
+        raise ConfigError("checkpoint_every must be >= 1")
     if cfg["eval"]["samples"] < 2:
         raise ConfigError("eval.samples must be >= 2")
     if cfg["estep"]["guidance"] not in ("on", "off"):
@@ -104,6 +107,7 @@ def resolve_config(raw):
                     f"tabular denoiser needs (K+1)^L <= {disc.ENUM_CAP}, got {n}")
         if "sequences" not in world.get("pretrain", {}):
             raise ConfigError("discrete world needs pretrain.sequences")
+        _check_corpus(world)
     # reward/world compatibility and guidance feasibility, checked before
     # any compute starts
     reward = _build_reward(cfg)
@@ -115,6 +119,32 @@ def resolve_config(raw):
         raise ConfigError(
             "estep.guidance=on requires a differentiable reward")
     return cfg
+
+
+def _check_corpus(world):
+    """Pretraining sequences must be strings of world.length characters from
+    the alphabet; probs, if given, one finite nonnegative weight each with a
+    positive sum."""
+    L, alphabet = int(world["length"]), _alphabet(world)
+    seqs = world["pretrain"]["sequences"]
+    for seq in seqs:
+        if (not isinstance(seq, str) or len(seq) != L
+                or any(c not in alphabet for c in seq)):
+            raise ConfigError(
+                f"pretrain sequence {seq!r} is not {L} characters from "
+                f"{alphabet!r}")
+    probs = world["pretrain"].get("probs")
+    if probs is None:
+        return
+    try:
+        p = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("pretrain.probs must be numbers") from None
+    if (p.shape != (len(seqs),) or not np.all(np.isfinite(p))
+            or np.any(p < 0) or not p.sum() > 0):
+        raise ConfigError(
+            "pretrain.probs needs one finite nonnegative weight per sequence "
+            "with a positive sum")
 
 
 def _alphabet(world):
@@ -317,6 +347,10 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
                 f"checkpoint was produced by variant "
                 f"{payload.get('variant')!r}, not {variant!r}")
         _truncate_metrics(csv_path, payload["epoch"])
+        # the run continues from a good checkpoint, so a record of an
+        # earlier abort no longer describes it
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "abort.txt"))
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg, fh, sort_keys=True, indent=2)

@@ -110,8 +110,9 @@ def test_reward_state_grad_affine_case():
     x = np.array([1.0, 2.0])
     v = ab * 0.8**2 + (1 - ab)
     slope = np.sqrt(ab) * 0.8**2 / v
-    np.testing.assert_allclose(reward_state_grad(mix, reward, x, ab),
-                               slope * c, atol=1e-12)
+    xhat, g = reward_state_grad(mix, reward, x, ab)
+    np.testing.assert_allclose(g, slope * c, atol=1e-12)
+    np.testing.assert_array_equal(xhat, x0hat(mix, x, ab))
 
 
 def test_reward_state_grad_matches_fd_through_x0hat():
@@ -121,7 +122,7 @@ def test_reward_state_grad_matches_fd_through_x0hat():
     for _ in range(5):
         x = rng.normal(2) * 2
         ab = 0.55
-        g = reward_state_grad(mix, reward, x, ab)
+        _, g = reward_state_grad(mix, reward, x, ab)
         h = 1e-6
         fd = np.zeros(2)
         for b in range(2):
@@ -130,8 +131,12 @@ def test_reward_state_grad_matches_fd_through_x0hat():
             fd[b] = (reward.value(x0hat(mix, x + dx, ab))
                      - reward.value(x0hat(mix, x - dx, ab))) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
-    st = reward_state_grad(mix, reward, x, ab, mode="straight_through")
+    xhat_st, st = reward_state_grad(mix, reward, x, ab,
+                                    mode="straight_through")
     np.testing.assert_allclose(st, reward.grad(x0hat(mix, x, ab)), atol=1e-12)
+    # both modes return the same posterior mean, bit for bit
+    np.testing.assert_array_equal(xhat_st, reward_state_grad(mix, reward, x,
+                                                             ab)[0])
 
 
 def test_policy_mean_equals_analytic_at_zero_residual(schedule):

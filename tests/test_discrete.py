@@ -5,7 +5,7 @@ from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
                              enumerate_states, enumerate_transitions,
                              forward_mask_sample, mask_token, pretrain,
                              relaxed_x0, state_index, subs_position_probs,
-                             subs_reverse_step, transition_logprob, x0_probs)
+                             transition_logprob, x0_probs)
 from emdiff.errors import (ConfigError, OracleUnavailableError,
                            UnreachableTransitionError)
 from emdiff.numkit import RngStream
@@ -81,11 +81,20 @@ def test_x0_probs_forces_point_mass_on_observed(uniform_denoiser):
     np.testing.assert_allclose(p[1], [0.5, 0.5], atol=1e-15)
 
 
+def draw(rows, u):
+    """Inverse-CDF draw per position, the rule rollout and search use."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    return (u[..., None] > cdf).sum(axis=-1)
+
+
 def test_subs_carry_over_is_deterministic(sched4, uniform_denoiser):
     tokens = np.array([1, 0])
+    rows = subs_position_probs(sched4, uniform_denoiser, tokens, 2, 3)
+    np.testing.assert_array_equal(rows, np.eye(3)[tokens])
+    rng = RngStream(3)
     for _ in range(50):
-        out = subs_reverse_step(sched4, uniform_denoiser, tokens, 2, 3,
-                                RngStream(3))
+        out = draw(rows, rng.uniform(tokens.shape))
         np.testing.assert_array_equal(out, tokens)
 
 
@@ -128,64 +137,84 @@ def test_carry_over_never_violated_bulk(sched4):
     # 10^5 reverse steps, no unmasked token may change
     den = TabularDenoiser(4, 2)
     den.table[:] = RngStream(5).normal(den.table.shape)
-    rng = RngStream(6)
     policy = DiscretePolicy(sched4, den)
-    violations = 0
-    steps = 0
-    for i in range(2500):
-        x = np.full(4, mask_token(2), dtype=np.int64)
-        for t in range(4, 0, -1):
-            nxt = policy.step(x, t, rng.child(i, t))
-            observed = x != mask_token(2)
-            violations += int(np.any(nxt[observed] != x[observed]))
-            # reverse never re-masks
-            violations += int(np.any((nxt == mask_token(2)) & observed))
-            x = nxt
-            steps += 4
+    states = policy.rollout(RngStream(6), 2500).states     # (2500, 5, 4)
+    x, nxt = states[:, :-1], states[:, 1:]
+    observed = x != mask_token(2)
+    violations = int(np.sum(np.any(observed & (nxt != x), axis=-1)))
+    # reverse never re-masks
+    violations += int(np.sum(np.any(observed & (nxt == mask_token(2)),
+                                    axis=-1)))
+    steps = x.size
     assert steps >= 40_000
     assert violations == 0
-    assert np.all(x != mask_token(2))
+    assert np.all(states[:, -1] != mask_token(2))
 
 
-def test_mask_count_nonincreasing(sched4, uniform_denoiser):
-    rng = RngStream(7)
-    den = TabularDenoiser(3, 2)
-    policy = DiscretePolicy(sched4, den)
-    for i in range(200):
-        x = np.full(3, mask_token(2), dtype=np.int64)
-        prev_masks = 3
-        for t in range(4, 0, -1):
-            x = policy.step(x, t, rng.child(i, t))
-            n_masks = int(np.sum(x == mask_token(2)))
-            assert n_masks <= prev_masks
-            prev_masks = n_masks
-        assert prev_masks == 0
+def test_mask_count_nonincreasing(sched4):
+    policy = DiscretePolicy(sched4, TabularDenoiser(3, 2))
+    states = policy.rollout(RngStream(7), 200).states
+    n_masks = np.sum(states == mask_token(2), axis=-1)     # (200, 5)
+    assert np.all(n_masks[:, 0] == 3)
+    assert np.all(np.diff(n_masks, axis=1) <= 0)
+    assert np.all(n_masks[:, -1] == 0)
 
 
 def test_transition_logprob_unmasked_identity(sched4, uniform_denoiser):
-    tokens = np.array([0, 1])
-    assert transition_logprob(sched4, uniform_denoiser, tokens, tokens, 2, 3) == 0.0
+    tokens = np.array([[0, 1]])
+    lp = transition_logprob(sched4, uniform_denoiser, tokens, tokens, [3])
+    np.testing.assert_array_equal(lp, [0.0])
 
 
 def test_transition_logprob_hand_value(sched4, uniform_denoiser):
-    xt = np.array([M, 0])
-    xprev = np.array([M, 0])
-    lp = transition_logprob(sched4, uniform_denoiser, xt, xprev, 3, 4)
-    assert lp == pytest.approx(np.log(0.75), abs=1e-12)
+    xt = np.array([[M, 0]])
+    xprev = np.array([[M, 0]])
+    lp = transition_logprob(sched4, uniform_denoiser, xt, xprev, [4])
+    assert lp[0] == pytest.approx(np.log(0.75), abs=1e-12)
 
 
 def test_transition_logprob_rejects_carry_over_violation(sched4, uniform_denoiser):
-    xt = np.array([0, M])
-    xprev = np.array([1, M])
+    xt = np.array([[0, M]])
+    xprev = np.array([[1, M]])
     with pytest.raises(UnreachableTransitionError):
-        transition_logprob(sched4, uniform_denoiser, xt, xprev, 2, 3)
+        transition_logprob(sched4, uniform_denoiser, xt, xprev, [3])
 
 
 def test_transition_logprob_rejects_mask_at_s0(sched4, uniform_denoiser):
-    xt = np.array([M, M])
-    xprev = np.array([M, 0])
+    xt = np.array([[M, M]])
+    xprev = np.array([[M, 0]])
     with pytest.raises(UnreachableTransitionError):
-        transition_logprob(sched4, uniform_denoiser, xt, xprev, 0, 1)
+        transition_logprob(sched4, uniform_denoiser, xt, xprev, [1])
+
+
+def test_transition_logprob_equals_gathered_rows():
+    # random tabular instance: the vectorized log-probability is the sum of
+    # log row entries at the successors, and a batch holding one
+    # unreachable transition is rejected as a whole
+    sched = make_discrete_schedule(4)
+    den = TabularDenoiser(3, 2)
+    den.table[:] = RngStream(11).normal(den.table.shape)
+    Xt, Xprev, t = DiscretePolicy(sched, den).rollout(
+        RngStream(12), 64).transitions()
+    lp = transition_logprob(sched, den, Xt, Xprev, t)
+    ref = [np.sum(np.log(subs_position_probs(sched, den, xt, ti - 1, ti)[
+               np.arange(3), xp])) for xt, xp, ti in zip(Xt, Xprev, t)]
+    np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(
+        transition_logprob(sched, den, Xt, Xprev, t,
+                           x0=x0_probs(den, Xt, t)), lp)
+
+    r, pos = np.argwhere(Xt != M)[0]
+    bad = Xprev.copy()
+    bad[r, pos] = 1 - Xt[r, pos]
+    with pytest.raises(UnreachableTransitionError):
+        transition_logprob(sched, den, Xt, bad, t)
+
+    r = int(np.flatnonzero(t == 1)[0])
+    kept_t, kept_prev = Xt.copy(), Xprev.copy()
+    kept_t[r, 0] = kept_prev[r, 0] = M
+    with pytest.raises(UnreachableTransitionError):
+        transition_logprob(sched, den, kept_t, kept_prev, t)
 
 
 def test_enumerate_transitions_probs_sum(sched4, uniform_denoiser):

@@ -112,7 +112,8 @@ def test_alpha_doubling_halves_shift_exactly(cont_policy):
     x = np.array([0.3, 0.9])
     t = 4
     sched = cont_policy.schedule
-    g = reward_state_grad(cont_policy.mixture, reward, x, sched.alpha_bar[t])
+    _, g = reward_state_grad(cont_policy.mixture, reward, x,
+                             sched.alpha_bar[t])
 
     def shift(alpha):
         return (sched.sig2[t] / alpha) * 0.9 ** (t - 1) * g

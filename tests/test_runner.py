@@ -79,6 +79,27 @@ def test_config_rejections_before_compute():
     runner.resolve_config(ok)
 
 
+@pytest.mark.parametrize("over", [
+    {"checkpoint_every": 0},
+    {"checkpoint_every": -2},
+    {"probs": [-0.1, 0.5, 0.3, 0.3]},
+    {"probs": [0.5, 0.5]},
+    {"probs": [0.4, float("nan"), 0.1, 0.1]},
+    {"probs": [0.0, 0.0, 0.0, 0.0]},
+    {"sequences": ["AA", "BB", "AC", "BA"]},
+    {"sequences": ["AAA", "BBB", "ABA", "BAB"]},
+], ids=["ckpt-zero", "ckpt-negative", "negative-probs", "short-probs",
+        "nan-probs", "zero-probs", "unknown-char", "wrong-length"])
+def test_bad_run_settings_rejected_before_compute(over):
+    cfg = tiny_cfg()
+    if "checkpoint_every" in over:
+        cfg.update(over)
+    else:
+        cfg["world"]["pretrain"].update(over)
+    with pytest.raises(ConfigError):
+        runner.resolve_config(cfg)
+
+
 def test_run_align_outputs_and_rows(tmp_path):
     out = runner.run_align(tiny_cfg(), str(tmp_path / "run"))
     assert os.path.exists(out["checkpoint"])
@@ -198,6 +219,7 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
 def test_nonfinite_residual_aborts_with_abort_file(tmp_path):
     run_dir = str(tmp_path / "nan")
     out = runner.run_align(cont_cfg(epochs=2), run_dir)
+    good = read(out["checkpoint"])
     payload = load_checkpoint(out["checkpoint"])
     payload["params"][0][0, 0] = np.nan
     save_checkpoint(out["checkpoint"], cfg=payload["config"],
@@ -211,6 +233,12 @@ def test_nonfinite_residual_aborts_with_abort_file(tmp_path):
         runner.run_align(cont_cfg(), run_dir, resume=out["checkpoint"])
     with open(os.path.join(run_dir, "abort.txt")) as fh:
         assert "non-finite" in fh.read()
+    # resuming from the last good checkpoint and finishing clears the mark
+    with open(out["checkpoint"], "wb") as fh:
+        fh.write(good)
+    done = runner.run_align(cont_cfg(), run_dir, resume=out["checkpoint"])
+    assert [r.epoch for r in done["records"]] == [3]
+    assert not os.path.exists(os.path.join(run_dir, "abort.txt"))
 
 
 def test_resume_rejects_config_mismatch(tmp_path):
