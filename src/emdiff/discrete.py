@@ -232,22 +232,6 @@ def transition_logprob(schedule, denoiser, xt, xprev, t, x0=None):
     return logp.sum(axis=-1)
 
 
-def enumerate_transitions(schedule, denoiser, xt, s, t):
-    """All reachable next states with probabilities, for the exact oracle."""
-    rows = subs_position_probs(schedule, denoiser, xt, s, t)
-    xt = np.asarray(xt, dtype=np.int64)
-    supports = []
-    for pos in range(denoiser.L):
-        vals = np.flatnonzero(rows[pos] > 0)
-        supports.append([(int(v), rows[pos, v]) for v in vals])
-    states, probs = [], []
-    for combo in itertools.product(*supports):
-        state = np.array([v for v, _ in combo], dtype=np.int64)
-        states.append(state)
-        probs.append(float(np.prod([p for _, p in combo])))
-    return np.stack(states), np.asarray(probs)
-
-
 class DiscretePolicy:
     """Denoiser plus schedule, presented with the same surface as the
     continuous policy so the alignment loop is world-agnostic."""

@@ -30,44 +30,29 @@ class ElboRecord:
     mc_error_free: bool = False
 
 
-def elbo_exact_tabular(policy, tables, alpha, gamma):
-    """Discounted trajectory bound under the exact tilted policy, by forward
-    DP over the chain (no sampling, no Monte-Carlo error).
+def elbo_exact_tabular(tables):
+    """Discounted trajectory bound of the tables' own denoiser under the
+    exact tilted policy, by forward DP over the chain (no sampling, no
+    Monte-Carlo error).
 
     Terms: sum over steps of gamma^(T-t) (r_t/alpha + log p_theta - log eta*)
-    with eta* read from the tables and p_theta from `policy`.
+    with alpha, gamma, p_theta and eta* all read from the tables.
     """
-    sc = policy.schedule
-    den = policy.denoiser
-    T = sc.T
-    S = tables.states.shape[0]
+    a, g = tables.cfg.alpha, tables.cfg.gamma
+    den = tables.denoiser
+    T = tables.schedule.T
     start = np.full(den.L, disc.mask_token(den.K), dtype=np.int64)
-    nu = np.zeros(S)
+    nu = np.zeros(tables.states.shape[0])
     nu[tables.state_ix(start)] = 1.0
     total = 0.0
     for t in range(T, 0, -1):
-        nxt = np.zeros(S)
-        disc_w = gamma ** (T - t)
-        for s_ix in np.flatnonzero(nu > 0):
-            succ_ix = tables.succ_idx[(t, s_ix)]
-            log_eta = (tables.succ_logp[(t, s_ix)]
-                       + tables.succ_q[(t, s_ix)] / tables.cfg.alpha
-                       - tables.logZ[t, s_ix])
-            eta = np.exp(log_eta)
-            rows = disc.subs_position_probs(sc, den, tables.states[s_ix],
-                                            t - 1, t)
-            succ_states = tables.states[succ_ix]
-            with np.errstate(divide="ignore"):
-                logp_pos = np.log(
-                    np.take_along_axis(
-                        rows[None, :, :],
-                        succ_states[:, :, None], axis=-1))[:, :, 0]
-            log_p = logp_pos.sum(axis=1)
-            r_term = tables.reward_vec[succ_ix] / alpha if t == 1 else 0.0
-            contrib = eta * (r_term + log_p - log_eta)
-            total += nu[s_ix] * disc_w * float(contrib.sum())
-            np.add.at(nxt, succ_ix, nu[s_ix] * eta)
-        nu = nxt
+        dst = tables.dst[t]
+        log_eta = tables.log_eta(t)
+        flow = nu[tables.src[t]] * np.exp(log_eta)
+        r_term = tables.reward_vec[dst] / a if t == 1 else 0.0
+        total += g ** (T - t) * float(
+            flow @ (r_term + tables.logp[t] - log_eta))
+        nu = np.bincount(dst, weights=flow, minlength=nu.size)
     return total
 
 
@@ -75,31 +60,29 @@ def elbo_by_path_enumeration(policy, tables, alpha):
     """Undiscounted ELBO by brute-force enumeration of whole trajectories.
 
     Independent of the forward-DP routine: walks every trajectory of the
-    tilted chain and accumulates eta(tau) * [sum_t (r_t/alpha + log p/eta)].
+    tilted chain, recomputing log p_theta from the substitution rows of
+    `policy`, and accumulates eta(tau) * [sum_t (r_t/alpha + log p/eta)].
     """
     sc = policy.schedule
     den = policy.denoiser
     T = sc.T
     start = np.full(den.L, disc.mask_token(den.K), dtype=np.int64)
+    log_eta = [None] + [tables.log_eta(t) for t in range(1, T + 1)]
 
     def walk(s_ix, t, weight, acc):
         if t == 0:
             return weight * acc
-        succ_ix = tables.succ_idx[(t, s_ix)]
-        log_eta = (tables.succ_logp[(t, s_ix)]
-                   + tables.succ_q[(t, s_ix)] / tables.cfg.alpha
-                   - tables.logZ[t, s_ix])
+        sl = tables.edges(t, s_ix)
         rows = disc.subs_position_probs(sc, den, tables.states[s_ix],
                                         t - 1, t)
         total = 0.0
-        for j, u_ix in enumerate(succ_ix):
+        for u_ix, le in zip(tables.dst[t][sl], log_eta[t][sl]):
             succ = tables.states[u_ix]
             with np.errstate(divide="ignore"):
                 log_p = float(np.sum(np.log(rows[np.arange(den.L), succ])))
-            term = (log_p - log_eta[j]
+            term = (log_p - le
                     + (tables.reward_vec[u_ix] / alpha if t == 1 else 0.0))
-            total += walk(int(u_ix), t - 1, weight * np.exp(log_eta[j]),
-                          acc + term)
+            total += walk(int(u_ix), t - 1, weight * np.exp(le), acc + term)
         return total
 
     return walk(tables.state_ix(start), T, 1.0, 0.0)

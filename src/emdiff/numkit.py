@@ -59,7 +59,10 @@ def log_sum_exp(v, axis=None):
     m = np.max(v, axis=axis, keepdims=True)
     # -inf rows would produce nan through exp(-inf - -inf); pin them
     m_safe = np.where(np.isfinite(m), m, 0.0)
-    s = np.log(np.sum(np.exp(v - m_safe), axis=axis, keepdims=True)) + m_safe
+    # an all -inf row sums to 0 and logs to -inf, as intended
+    with np.errstate(divide="ignore"):
+        s = np.log(np.sum(np.exp(v - m_safe), axis=axis,
+                          keepdims=True)) + m_safe
     s = np.where(np.isfinite(m), s, m)
     return float(s.reshape(())) if axis is None else np.squeeze(s, axis=axis)
 

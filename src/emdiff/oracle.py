@@ -8,6 +8,8 @@ empirical frequencies with known targets).
 import numpy as np
 
 from . import metrics, softq
+from .discrete import state_index
+from .errors import UnreachableTransitionError
 from .estep import EStepConfig, search_step_batch
 from .numkit import RngStream
 
@@ -21,13 +23,17 @@ def resampled_next_state_tv(policy, reward, tables, xt, t, ecfg, rng,
     """TV between the empirical resampled next-state distribution and the
     exact tilted policy at (xt, t). Repeats run as one vectorized batch."""
     succ_states, probs = tables.tilted_policy(xt, t)
-    keys = {tuple(s): j for j, s in enumerate(succ_states)}
+    K = tables.denoiser.K
+    slot = np.full(tables.states.shape[0], -1)
+    slot[state_index(succ_states, K)] = np.arange(probs.size)
     X = np.broadcast_to(np.asarray(xt, dtype=np.int64),
                         (repeats, len(xt))).copy()
     nxt, _ = search_step_batch(policy, reward, X, t, ecfg, rng)
-    counts = np.zeros(len(keys))
-    for row in nxt:
-        counts[keys[tuple(row)]] += 1
+    j = slot[state_index(nxt, K)]
+    if np.any(j < 0):
+        raise UnreachableTransitionError(
+            "resampled next state outside the exact tilted support")
+    counts = np.bincount(j, minlength=probs.size)
     return tv_distance(counts / repeats, probs)
 
 
@@ -61,11 +67,8 @@ def run_suite(policy, pretrained, reward, ecfg, repeats=4000, seeds=5):
     resid = tables.bellman_residual()
     add("soft_bellman_self_consistency", resid <= 1e-10, resid)
 
-    term = 0.0
-    for s_ix in range(tables.states.shape[0]):
-        q = tables.succ_q[(1, s_ix)]
-        r = tables.reward_vec[tables.succ_idx[(1, s_ix)]]
-        term = max(term, float(np.max(np.abs(q - r))))
+    term = float(np.max(np.abs(tables.q[1]
+                               - tables.reward_vec[tables.dst[1]])))
     add("terminal_q_equals_reward", term == 0.0, term)
     add("terminal_value_zero", float(np.max(np.abs(tables.V[0]))) == 0.0,
         float(np.max(np.abs(tables.V[0]))))
@@ -73,29 +76,26 @@ def run_suite(policy, pretrained, reward, ecfg, repeats=4000, seeds=5):
     bounds = softq.check_bounds(tables)
     add(f"soft_q_bounds_gamma_{ecfg.gamma:g}", bounds["ok"],
         bounds["violations"])
-    if ecfg.gamma != 1.0:
+    if ecfg.gamma == 1.0:
+        tables_g1, b1 = tables, bounds
+    else:
         tables_g1 = softq.ExactSoftTables(
             sc, pretrained.denoiser, reward, softq.SoftQConfig(ecfg.alpha, 1.0))
         b1 = softq.check_bounds(tables_g1)
         add("soft_q_bounds_gamma_1", b1["ok"], b1["violations"])
-        gap = max((abs(r["upper"] - r["lower"]) for r in b1["rows"]),
-                  default=0.0)
-        add("bounds_collapse_at_gamma_1", gap <= 1e-9, gap)
-    else:
-        gap = max((abs(r["upper"] - r["lower"]) for r in bounds["rows"]),
-                  default=0.0)
-        add("bounds_collapse_at_gamma_1", gap <= 1e-9, gap)
+    gap = float(np.max(np.abs(b1["rows"]["upper"] - b1["rows"]["lower"]),
+                       initial=0.0))
+    add("bounds_collapse_at_gamma_1", gap <= 1e-9, gap)
 
-    tables_g1 = softq.ExactSoftTables(
-        sc, pretrained.denoiser, reward, softq.SoftQConfig(ecfg.alpha, 1.0))
-    dp = metrics.elbo_exact_tabular(pretrained, tables_g1, ecfg.alpha, 1.0)
+    dp = metrics.elbo_exact_tabular(tables_g1)
     path = metrics.elbo_by_path_enumeration(pretrained, tables_g1, ecfg.alpha)
     add("elbo_gamma1_matches_path_enumeration", abs(dp - path) <= 1e-10,
         abs(dp - path))
 
     big = softq.SoftQConfig(1e6, ecfg.gamma)
     tables_big = softq.ExactSoftTables(sc, pretrained.denoiser, reward, big)
-    expect = softq.expected_reward_dp(tables_big)
+    expect = softq.prior_expectation(tables_big, tables_big.reward_vec,
+                                     ecfg.gamma)
     v_err = float(np.max(np.abs(tables_big.V[1:] - expect[1:])))
     add("high_temperature_value_limit", v_err <= 1e-3, v_err)
 

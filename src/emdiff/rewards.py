@@ -119,12 +119,13 @@ class MotifCountReward(Reward):
     def value(self, x0):
         x0 = np.asarray(x0, dtype=np.int64)
         m = self.motif.size
-        if x0.ndim == 1:
-            if x0.size < m:
-                return 0.0
-            win = np.lib.stride_tricks.sliding_window_view(x0, m)
-            return float(np.sum(np.all(win == self.motif, axis=-1)))
-        return np.array([self.value(row) for row in x0])
+        if x0.shape[-1] < m:
+            counts = np.zeros(x0.shape[:-1])
+        else:
+            win = np.lib.stride_tricks.sliding_window_view(x0, m, axis=-1)
+            hits = np.all(win == self.motif, axis=-1)
+            counts = hits.sum(axis=-1).astype(float)
+        return float(counts) if x0.ndim == 1 else counts
 
     def relaxed_value(self, probs):
         p = np.asarray(probs, dtype=float)

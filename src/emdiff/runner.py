@@ -284,9 +284,7 @@ def evaluate_policy(setup, policy, epoch, batch=None, report=None, rng=None):
             radius_scale=cfg["eval"]["mode_radius_scale"])
     searched = batch is not None and batch.searched
     if setup.enumerable:
-        tables = setup.exact_tables(policy)
-        rec.elbo = met.elbo_exact_tabular(policy, tables, setup.ecfg.alpha,
-                                          setup.ecfg.gamma)
+        rec.elbo = met.elbo_exact_tabular(setup.exact_tables(policy))
         rec.estimator = "exact-tabular"
         rec.mc_error_free = True
     elif searched:

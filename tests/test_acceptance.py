@@ -145,8 +145,9 @@ def test_criterion_02_soft_bellman_and_bounds(tiny):
         assert resid <= 1e-10
         assert np.all(tables.V[0] == 0.0)
         for s_ix in range(tables.states.shape[0]):
-            r = tables.reward_vec[tables.succ_idx[(1, s_ix)]]
-            np.testing.assert_array_equal(tables.succ_q[(1, s_ix)], r)
+            sl = tables.edges(1, s_ix)
+            r = tables.reward_vec[tables.dst[1][sl]]
+            np.testing.assert_array_equal(tables.q[1][sl], r)
         report = check_bounds(tables)
         assert report["ok"], report["violations"]
     elapsed = time.monotonic() - t_start
@@ -161,7 +162,7 @@ def test_criterion_03_discounted_elbo_reduction(tiny):
     s, _ = tiny
     tables = ExactSoftTables(s.schedule, s.pretrained.denoiser, s.reward,
                              SoftQConfig(0.5, 1.0))
-    dp = elbo_exact_tabular(s.pretrained, tables, 0.5, 1.0)
+    dp = elbo_exact_tabular(tables)
     paths = elbo_by_path_enumeration(s.pretrained, tables, 0.5)
     assert abs(dp - paths) <= 1e-10
     elapsed = time.monotonic() - t_start

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
-                             enumerate_states, enumerate_transitions,
-                             forward_mask_sample, mask_token, pretrain,
-                             relaxed_x0, state_index, subs_position_probs,
-                             transition_logprob, x0_probs)
+                             enumerate_states, forward_mask_sample,
+                             mask_token, pretrain, relaxed_x0, state_index,
+                             subs_position_probs, transition_logprob,
+                             x0_probs)
 from emdiff.errors import (ConfigError, OracleUnavailableError,
                            UnreachableTransitionError)
 from emdiff.numkit import RngStream
+from emdiff.rewards import TokenCountReward
 from emdiff.schedules import make_discrete_schedule
+from emdiff.softq import ExactSoftTables, SoftQConfig
 
 M = mask_token(2)
 
@@ -218,8 +220,11 @@ def test_transition_logprob_equals_gathered_rows():
 
 
 def test_enumerate_transitions_probs_sum(sched4, uniform_denoiser):
-    states, probs = enumerate_transitions(sched4, uniform_denoiser,
-                                          np.array([M, M]), 2, 3)
+    tables = ExactSoftTables(sched4, uniform_denoiser, TokenCountReward(0, 2),
+                             SoftQConfig(1.0))
+    sl = tables.edges(3, tables.state_ix(np.array([M, M])))
+    states = tables.states[tables.dst[3][sl]]
+    probs = np.exp(tables.logp[3][sl])
     assert states.shape[0] == 9
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 

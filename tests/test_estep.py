@@ -4,7 +4,7 @@ import pytest
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, TabularDenoiser, mask_token,
                              pretrain)
-from emdiff.errors import ConfigError
+from emdiff.errors import ConfigError, UnreachableTransitionError
 from emdiff.estep import (EStepConfig, sample_posterior_batch,
                           search_step_batch)
 from emdiff.numkit import RngStream
@@ -368,6 +368,21 @@ def test_resampled_matches_exact_tilted_policy_at_t1():
                                  np.array([MASK, MASK]), 1, cfg,
                                  RngStream(19), repeats=3000)
     assert tv < 0.08
+
+
+def test_resampled_row_outside_exact_support_raises(monkeypatch):
+    # at t = 1 every successor is fully unmasked, so a search step that
+    # returns its masked input lies outside the exact tilted support
+    policy, reward = tiny_discrete()
+    tables = ExactSoftTables(policy.schedule, policy.denoiser, reward,
+                             SoftQConfig(0.3, 1.0))
+    monkeypatch.setattr("emdiff.oracle.search_step_batch",
+                        lambda policy, reward, X, t, cfg, rng: (X, None))
+    cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=4, guidance=True)
+    with pytest.raises(UnreachableTransitionError):
+        resampled_next_state_tv(policy, reward, tables,
+                                np.array([MASK, MASK]), 1, cfg,
+                                RngStream(19), repeats=10)
 
 
 def test_mean_reward_nondecreasing_in_particles():

@@ -1,4 +1,7 @@
-"""Property tests of the numeric kernel and the substitution rows."""
+"""Property tests of the numeric kernel, the substitution rows and the exact
+soft tables."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 from emdiff.discrete import (TabularDenoiser, enumerate_states, mask_token,
                              state_index, subs_position_probs)
 from emdiff.numkit import RngStream, log_sum_exp, sample_categorical
+from emdiff.rewards import MotifCountReward, TokenCountReward
 from emdiff.schedules import make_discrete_schedule
+from emdiff.softq import ExactSoftTables, SoftQConfig
 
 FAST = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -100,3 +105,52 @@ def test_substitution_rows_sum_to_one(L, K, T, seed, data):
             # unmasked positions are point masses on their token
             kept = tokens != mask_token(K)
             np.testing.assert_array_equal(rows[kept, tokens[kept]], 1.0)
+
+
+def _product_successors(rows):
+    """Reachable next states and probabilities by itertools.product over
+    the positive entries of each position's row (the per-state reference)."""
+    supports = [[(int(v), row[v]) for v in np.flatnonzero(row > 0)]
+                for row in rows]
+    combos = list(itertools.product(*supports))
+    nxt = np.array([[v for v, _ in c] for c in combos], dtype=np.int64)
+    probs = np.array([float(np.prod([p for _, p in c])) for c in combos])
+    return nxt, probs
+
+
+@FAST
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.floats(0.2, 2.0), st.floats(0.5, 1.0), st.data())
+def test_exact_tables_match_per_state_reference(L, K, seed, alpha, gamma,
+                                                data):
+    T = data.draw(st.integers(2, 5).filter(lambda T: T != L))
+    sched = make_discrete_schedule(T)
+    den = TabularDenoiser(L, K)
+    den.table[:] = 3.0 * RngStream(seed).normal(den.table.shape)
+    if data.draw(st.booleans()):
+        motif = data.draw(st.lists(st.integers(0, K - 1), min_size=1,
+                                   max_size=2))
+        reward = MotifCountReward(np.array(motif), K)
+    else:
+        reward = TokenCountReward(data.draw(st.integers(0, K - 1)), K)
+    tables = ExactSoftTables(sched, den, reward, SoftQConfig(alpha, gamma))
+    S = tables.states.shape[0]
+    V = np.zeros((T + 1, S))
+    for t in range(1, T + 1):       # t = 1 steps into s = 0
+        for s_ix, xt in enumerate(tables.states):
+            rows = subs_position_probs(sched, den, xt, t - 1, t)
+            nxt, probs = _product_successors(rows)
+            nxt_ix = state_index(nxt, K)
+            sl = tables.edges(t, s_ix)
+            assert np.all(tables.src[t][sl] == s_ix)
+            np.testing.assert_array_equal(tables.dst[t][sl], nxt_ix)
+            np.testing.assert_array_equal(tables.logp[t][sl], np.log(probs))
+            if t == 1:
+                q = np.array([float(reward.value(x)) for x in nxt])
+            else:
+                q = gamma * V[t - 1, nxt_ix]
+            lz = log_sum_exp(np.log(probs) + q / alpha)
+            V[t, s_ix] = alpha * lz
+            np.testing.assert_allclose(tables.q[t][sl], q, rtol=0, atol=1e-12)
+            assert abs(tables.logZ[t, s_ix] - lz) <= 1e-12
+    np.testing.assert_allclose(tables.V, V, rtol=0, atol=1e-12)

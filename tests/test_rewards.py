@@ -30,6 +30,24 @@ def test_motif_count_sliding_window():
     assert r2.value(np.array([0, 0, 0])) == 2.0      # overlaps counted
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_motif_count_matches_row_loop(seed):
+    # the vectorized count against a per-row window loop, over any leading
+    # shape and including rows shorter than the motif
+    rng = RngStream(seed)
+    for L in range(0, 7):
+        for m in (1, 2, 3):
+            r = MotifCountReward(rng.gen.integers(0, 3, size=m), vocab=3)
+            x = rng.gen.integers(0, 3, size=(2, 5, L))
+            ref = np.array([[float(sum(np.array_equal(row[i:i + m], r.motif)
+                                       for i in range(L - m + 1)))
+                             for row in block] for block in x])
+            np.testing.assert_array_equal(r.value(x), ref)
+            np.testing.assert_array_equal(r.value(x[0]), ref[0])
+            one = r.value(x[0, 0])
+            assert type(one) is float and one == ref[0, 0]
+
+
 def test_token_count():
     r = TokenCountReward(1, vocab=3)
     assert r.value(np.array([1, 0, 1, 2])) == 2.0
