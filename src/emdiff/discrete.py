@@ -282,6 +282,17 @@ def _mask_patterns(L):
     return np.array(list(itertools.product([False, True], repeat=L)))
 
 
+def pretrain_weights(weights, n):
+    """Normalized weights of n pretraining sequences, uniform if None. Given
+    weights need one finite nonnegative value per sequence, positive sum."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if (w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0)
+            or not w.sum() > 0):
+        raise ConfigError("pretraining weights need one finite nonnegative "
+                          "value per sequence with a positive sum")
+    return w / w.sum()
 def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
              rng=None, batch_size=None):
     """Fit the denoiser by the schedule-weighted masked cross-entropy.
@@ -297,11 +308,7 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
     if sequences.size == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
     n, L = sequences.shape
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
+    weights = pretrain_weights(weights, n)
     K = denoiser.K
     T = schedule.T
     exact = denoiser.kind == "tabular" and 2**L <= 1024

@@ -15,6 +15,7 @@ from .errors import ConfigError
 
 @dataclass
 class ElboRecord:
+    """One metrics.csv row, its fields in column order."""
     epoch: int
     elbo: float
     estimator: str       # "exact-tabular" | "surrogate-is" | "none"
@@ -26,8 +27,6 @@ class ElboRecord:
     fallbacks: int = 0
     loss_before: float = float("nan")
     loss_after: float = float("nan")
-    n_samples: int = 0
-    mc_error_free: bool = False
 
 
 def elbo_exact_tabular(tables):
@@ -165,22 +164,3 @@ def mode_coverage(samples, mixture, radius_scale=2.0, radii=None):
         hit += bool(np.any(d <= radii[k]))
     return hit / mixture.n_components
 
-
-def ngram_frequency_correlation(samples, reference, K, n=2):
-    """Pearson correlation between n-gram frequency vectors of two sequence
-    sets, the desk-scale naturalness proxy."""
-    def freqs(seqs):
-        counts = np.zeros((K + 1) ** n)
-        for s in np.atleast_2d(np.asarray(seqs, dtype=np.int64)):
-            for i in range(s.size - n + 1):
-                code = 0
-                for j in range(n):
-                    code = code * (K + 1) + int(s[i + j])
-                counts[code] += 1
-        total = counts.sum()
-        return counts / total if total else counts
-    f1, f2 = freqs(samples), freqs(reference)
-    s1, s2 = f1.std(), f2.std()
-    if s1 == 0 or s2 == 0:
-        return float("nan")
-    return float(np.corrcoef(f1, f2)[0, 1])

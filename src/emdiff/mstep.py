@@ -29,6 +29,10 @@ class MStepConfig:
     gamma: float = 1.0             # used by discounted KL weighting only
 
     def __post_init__(self):
+        if not self.lr >= 0:
+            raise ConfigError("learning rate must be >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("Adam betas must lie in [0, 1)")
         if self.kl_coeff < 0:
             raise ConfigError("KL coefficient must be >= 0")
         if self.steps < 1:

@@ -5,12 +5,14 @@ computation (backward-recursion tables, direct path enumeration, or
 empirical frequencies with known targets).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import metrics, softq
 from .discrete import state_index
 from .errors import UnreachableTransitionError
-from .estep import EStepConfig, search_step_batch
+from .estep import search_step_batch
 from .numkit import RngStream
 
 
@@ -43,8 +45,7 @@ def tv_trend_over_particles(policy, reward, tables, xt, t, ecfg, seeds,
     """Mean TV per particle count, averaged over seeds."""
     means = []
     for m in particle_grid:
-        cfg_m = EStepConfig(alpha=ecfg.alpha, gamma=ecfg.gamma, particles=m,
-                            guidance=ecfg.guidance, grad_mode=ecfg.grad_mode)
+        cfg_m = replace(ecfg, particles=m)
         vals = [resampled_next_state_tv(
                     policy, reward, tables, xt, t, cfg_m,
                     RngStream(seed0 + s, stream=m), repeats)
@@ -61,8 +62,8 @@ def run_suite(policy, pretrained, reward, ecfg, repeats=4000, seeds=5):
     def add(name, ok, value):
         rows.append({"name": name, "ok": bool(ok), "value": value})
 
-    qcfg = softq.SoftQConfig(ecfg.alpha, ecfg.gamma)
-    tables = softq.ExactSoftTables(sc, pretrained.denoiser, reward, qcfg)
+    tables = softq.ExactSoftTables(sc, pretrained.denoiser, reward,
+                                   ecfg.softq)
 
     resid = tables.bellman_residual()
     add("soft_bellman_self_consistency", resid <= 1e-10, resid)
@@ -100,9 +101,8 @@ def run_suite(policy, pretrained, reward, ecfg, repeats=4000, seeds=5):
     add("high_temperature_value_limit", v_err <= 1e-3, v_err)
 
     xt = np.full(policy.L, policy.K, dtype=np.int64)  # fully masked at t=1
-    cfg64 = EStepConfig(alpha=ecfg.alpha, gamma=ecfg.gamma, particles=64,
-                        guidance=ecfg.guidance, grad_mode=ecfg.grad_mode)
-    tv = resampled_next_state_tv(pretrained, reward, tables, xt, 1, cfg64,
+    tv = resampled_next_state_tv(pretrained, reward, tables, xt, 1,
+                                 replace(ecfg, particles=64),
                                  RngStream(20_000), repeats)
     add("resampled_tv_at_final_step", tv < 0.05, tv)
 

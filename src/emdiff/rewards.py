@@ -192,7 +192,7 @@ def tokens_from_string(s, alphabet):
     try:
         return np.array([alphabet.index(ch) for ch in s], dtype=np.int64)
     except ValueError as e:
-        raise ConfigError(f"motif {s!r} uses characters outside {alphabet!r}") from e
+        raise ConfigError(f"{s!r} uses characters outside {alphabet!r}") from e
 
 
 def make_reward(cfg, vocab=None, alphabet=None):

@@ -4,8 +4,11 @@ evaluation/oracle entry points used by the CLI."""
 
 import contextlib
 import copy
+import dataclasses
 import json
 import os
+import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,9 +23,9 @@ from .estep import EStepConfig, sample_posterior_batch
 from .mstep import MStepConfig
 from .numkit import RngStream, softmax
 from .optim import Adam
-from .rewards import make_reward
+from .rewards import make_reward, tokens_from_string
 from .schedules import make_continuous_schedule, make_discrete_schedule
-from .softq import ExactSoftTables, SoftQConfig
+from .softq import ExactSoftTables
 
 _INIT, _PRETRAIN, _ESTEP, _EVAL, _POSTERIOR = 1, 2, 3, 4, 5
 
@@ -32,132 +35,170 @@ CSV_FIELDS = ["epoch", "elbo", "elbo_kind", "mean_reward", "reward_std",
 
 VARIANTS = ("dav", "search_and_distill", "reweight")
 
-_ESTEP_DEFAULTS = {
-    "continuous": {"alpha": 0.005, "gamma": 0.9, "particles": 4,
-                   "guidance": "on", "grad_mode": "exact"},
-    "discrete": {"alpha": 0.01, "gamma": 1.0, "particles": 10,
-                 "guidance": "on", "grad_mode": "exact"},
-}
-_MSTEP_DEFAULTS = {
-    "continuous": {"lr": 1e-3, "steps": 1, "kl_coeff": 0.0, "beta1": 0.9,
-                   "beta2": 0.999, "kl_weighting": "uniform"},
-    "discrete": {"lr": 1e-3, "steps": 2, "kl_coeff": 0.0, "beta1": 0.9,
-                 "beta2": 0.999, "kl_weighting": "uniform"},
-}
-_WORLD_DEFAULTS = {
-    "continuous": {"schedule": {"steps": 50, "beta_min": 1e-4,
-                                "beta_max": 0.02},
-                   "residual_widths": [16, 16]},
-    "discrete": {"schedule": {"steps": 3}, "denoiser": "tabular",
-                 "pretrain": {"epochs": 400, "lr": 0.05}},
-}
-_EVAL_DEFAULTS = {"samples": 256, "mode_radius_scale": 2.0}
+REQUIRED, OPTIONAL = "required", "optional"
+PerKind = namedtuple("PerKind", "continuous discrete")
+Field = namedtuple("Field", "path type default when least",
+                   defaults=(None, None))
+
+# The config schema: one row per key, parents before children. A type is
+# int, float (an int is accepted and kept as given), str, bool, dict, [t]
+# (a list of t) or a tuple of alternatives, which may be literal strings.
+# A default is a value, PerKind(continuous, discrete), REQUIRED or OPTIONAL
+# (checked when given, never filled in, so configs without it keep their
+# hash). A row with `when` exists only if world.kind or reward.name has that
+# value; `least` is the smallest accepted value. Value checks that a module
+# owns run when _parts builds its objects. A resolved object lists its
+# defaulted keys first, in table order, then the given ones in the order
+# given: checkpoints store that order.
+_FIELDS = [
+    Field("world", dict, {}),
+    Field("world.kind", ("continuous", "discrete"), REQUIRED),
+    Field("world.schedule", dict, {}),
+    Field("world.schedule.steps", int, PerKind(50, 3)),
+    Field("world.schedule.beta_min", float, 1e-4, "continuous"),
+    Field("world.schedule.beta_max", float, 0.02, "continuous"),
+    Field("world.residual_widths", [int], [16, 16], "continuous"),
+    Field("world.mixture", dict, REQUIRED, "continuous"),
+    Field("world.mixture.weights", [float], REQUIRED),
+    Field("world.mixture.means", [[float]], REQUIRED),
+    Field("world.mixture.stds", [float], REQUIRED),
+    Field("world.denoiser", ("tabular", dict), "tabular", "discrete"),
+    Field("world.denoiser.kind", ("mlp",), REQUIRED),
+    Field("world.denoiser.widths", [int], OPTIONAL),
+    Field("world.pretrain", dict, {}, "discrete"),
+    Field("world.pretrain.epochs", int, 400),
+    Field("world.pretrain.lr", float, 0.05),
+    Field("world.pretrain.sequences", [str], REQUIRED),
+    Field("world.pretrain.probs", [float], OPTIONAL),
+    Field("world.pretrain.batch_size", int, OPTIONAL),
+    Field("world.length", int, REQUIRED, "discrete", 1),
+    Field("world.vocab", int, REQUIRED, "discrete", 1),
+    Field("world.alphabet", str, OPTIONAL, "discrete"),
+    Field("reward", dict, {}),
+    Field("reward.name", ("linear", "neg_sq_dist", "mode_preference"),
+          REQUIRED, "continuous"),
+    Field("reward.name", ("motif_count", "token_count"), REQUIRED,
+          "discrete"),
+    Field("reward.differentiable", bool, OPTIONAL),
+    Field("reward.coeffs", [float], REQUIRED, "linear"),
+    Field("reward.target", [float], REQUIRED, "neg_sq_dist"),
+    Field("reward.amps", [float], REQUIRED, "mode_preference"),
+    Field("reward.centers", [[float]], REQUIRED, "mode_preference"),
+    Field("reward.tau", float, REQUIRED, "mode_preference"),
+    Field("reward.motif", (str, [int]), REQUIRED, "motif_count"),
+    Field("reward.token", (str, int), REQUIRED, "token_count"),
+    Field("estep", dict, {}),
+    Field("estep.alpha", float, PerKind(0.005, 0.01)),
+    Field("estep.gamma", float, PerKind(0.9, 1.0)),
+    Field("estep.particles", int, PerKind(4, 10)),
+    Field("estep.guidance", ("on", "off"), "on"),
+    Field("estep.grad_mode", str, "exact"),
+    Field("mstep", dict, {}),
+    Field("mstep.lr", float, 1e-3),
+    Field("mstep.steps", int, PerKind(1, 2)),
+    Field("mstep.kl_coeff", float, 0.0),
+    Field("mstep.beta1", float, 0.9),
+    Field("mstep.beta2", float, 0.999),
+    Field("mstep.kl_weighting", str, "uniform"),
+    Field("eval", dict, {}),
+    Field("eval.samples", int, 256, least=2),
+    Field("eval.mode_radius_scale", float, 2.0),
+    Field("epochs", int, 50, least=0),
+    Field("batch", int, 32, least=1),
+    Field("seed", int, 0),
+    Field("checkpoint_every", int, 10, least=1),
+]
 
 
-def _merge(defaults, given):
-    out = copy.deepcopy(defaults)
-    for k, v in (given or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
+def _accepts(typ, v):
+    if isinstance(typ, list):
+        return isinstance(v, list) and all(_accepts(typ[0], x) for x in v)
+    if isinstance(typ, tuple):
+        return any(v == t if isinstance(t, str) else _accepts(t, v)
+                   for t in typ)
+    if isinstance(v, bool):
+        return typ is bool
+    return isinstance(v, (int, float) if typ is float else typ)
 
 
 def resolve_config(raw):
-    """Merge defaults, validate cross-field constraints, return the fully
-    materialized config dict (this is what gets hashed and echoed)."""
-    raw = copy.deepcopy(raw)
-    world = raw.get("world") or {}
-    kind = world.get("kind")
-    if kind not in ("continuous", "discrete"):
-        raise ConfigError(f"world.kind must be continuous or discrete, got {kind!r}")
-    world = _merge(_WORLD_DEFAULTS[kind], world)
-    cfg = {
-        "world": world,
-        "reward": raw.get("reward") or {},
-        "estep": _merge(_ESTEP_DEFAULTS[kind], raw.get("estep")),
-        "mstep": _merge(_MSTEP_DEFAULTS[kind], raw.get("mstep")),
-        "eval": _merge(_EVAL_DEFAULTS, raw.get("eval")),
-        "epochs": int(raw.get("epochs", 50)),
-        "batch": int(raw.get("batch", 32)),
-        "seed": int(raw.get("seed", 0)),
-        "checkpoint_every": int(raw.get("checkpoint_every", 10)),
-    }
-    if cfg["epochs"] < 0:
-        raise ConfigError("epochs must be >= 0")
-    if cfg["batch"] < 1:
-        raise ConfigError("batch must be >= 1")
-    if cfg["checkpoint_every"] < 1:
-        raise ConfigError("checkpoint_every must be >= 1")
-    if cfg["eval"]["samples"] < 2:
-        raise ConfigError("eval.samples must be >= 2")
-    if cfg["estep"]["guidance"] not in ("on", "off"):
-        raise ConfigError("estep.guidance must be 'on' or 'off'")
-    if kind == "continuous":
-        if "mixture" not in world:
-            raise ConfigError("continuous world needs a mixture")
-    else:
-        if int(world.get("vocab", 0)) < 1 or int(world.get("length", 0)) < 1:
-            raise ConfigError("discrete world needs vocab >= 1 and length >= 1")
-        if world["denoiser"] == "tabular":
-            n = (world["vocab"] + 1) ** world["length"]
-            if n > disc.ENUM_CAP:
+    """Check a config against _FIELDS and fill in its defaults. Returns the
+    materialized config, which is what gets hashed, echoed and checkpointed.
+    Unknown keys, wrong types and bad values raise ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError("a config is a JSON object")
+    cfg, scope = {}, set()
+    objects = {"": (raw, cfg, {})}  # path -> (given, resolved, given extras)
+    for f in _FIELDS:
+        parent, _, key = f.path.rpartition(".")
+        if parent not in objects or (f.when and f.when not in scope):
+            continue
+        given, resolved, extras = objects[parent]
+        if key in given:
+            value = given[key]
+            if not _accepts(f.type, value):
+                typ = re.sub(r"<class '(\w+)'>", r"\1", repr(f.type))
+                raise ConfigError(f"{f.path} must be {typ}, got {value!r}")
+        elif f.default is REQUIRED:
+            raise ConfigError(f"{f.path} is required")
+        elif f.default is OPTIONAL:
+            continue
+        else:
+            value = f.default
+            if isinstance(value, PerKind):
+                value = value.discrete if "discrete" in scope \
+                    else value.continuous
+        if f.least is not None and value < f.least:
+            raise ConfigError(f"{f.path} must be >= {f.least}, got {value}")
+        if f.path in ("world.kind", "reward.name"):
+            scope.add(value)
+        out = extras if f.default in (REQUIRED, OPTIONAL) else resolved
+        out[key] = {} if isinstance(value, dict) else copy.deepcopy(value)
+        if isinstance(value, dict):
+            objects[f.path] = (value, out[key], {})
+    for path, (given, resolved, extras) in objects.items():
+        for key in given:
+            if key not in resolved and key not in extras:
                 raise ConfigError(
-                    f"tabular denoiser needs (K+1)^L <= {disc.ENUM_CAP}, got {n}")
-        if "sequences" not in world.get("pretrain", {}):
-            raise ConfigError("discrete world needs pretrain.sequences")
-        _check_corpus(world)
-    # reward/world compatibility and guidance feasibility, checked before
-    # any compute starts
-    reward = _build_reward(cfg)
-    expected_domain = kind
-    if reward.domain != expected_domain:
-        raise ConfigError(
-            f"reward {reward.name!r} is {reward.domain}, world is {kind}")
-    if cfg["estep"]["guidance"] == "on" and not reward.differentiable:
-        raise ConfigError(
-            "estep.guidance=on requires a differentiable reward")
+                    f"unknown config key {f'{path}.{key}'.lstrip('.')!r}")
+            resolved.setdefault(key, extras.get(key))
+    _parts(cfg)  # the value checks
     return cfg
 
 
-def _check_corpus(world):
-    """Pretraining sequences must be strings of world.length characters from
-    the alphabet; probs, if given, one finite nonnegative weight each with a
-    positive sum."""
-    L, alphabet = int(world["length"]), _alphabet(world)
-    seqs = world["pretrain"]["sequences"]
-    for seq in seqs:
-        if (not isinstance(seq, str) or len(seq) != L
-                or any(c not in alphabet for c in seq)):
-            raise ConfigError(
-                f"pretrain sequence {seq!r} is not {L} characters from "
-                f"{alphabet!r}")
-    probs = world["pretrain"].get("probs")
-    if probs is None:
-        return
-    try:
-        p = np.asarray(probs, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("pretrain.probs must be numbers") from None
-    if (p.shape != (len(seqs),) or not np.all(np.isfinite(p))
-            or np.any(p < 0) or not p.sum() > 0):
-        raise ConfigError(
-            "pretrain.probs needs one finite nonnegative weight per sequence "
-            "with a positive sum")
-
-
-def _alphabet(world):
-    K = int(world["vocab"])
-    return world.get("alphabet", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:K])
-
-
-def _build_reward(cfg):
-    world = cfg["world"]
-    if world["kind"] == "discrete":
-        return make_reward(cfg["reward"], vocab=int(world["vocab"]),
-                           alphabet=_alphabet(world))
-    return make_reward(cfg["reward"])
+def _parts(cfg):
+    """Reward, E- and M-step configs, schedule, world data (the mixture or
+    the pretraining corpus as token rows) and alphabet of a resolved config.
+    Building them runs the value checks of the modules that own the values."""
+    world, es = cfg["world"], cfg["estep"]
+    ecfg = EStepConfig(**dict(es, guidance=es["guidance"] == "on"))
+    mcfg = MStepConfig(**cfg["mstep"], gamma=es["gamma"])
+    sch = world["schedule"]
+    if world["kind"] == "continuous":
+        schedule = make_continuous_schedule(sch["steps"], sch["beta_min"],
+                                            sch["beta_max"])
+        data, alphabet = cont.GaussianMixture(**world["mixture"]), None
+    else:
+        schedule = make_discrete_schedule(sch["steps"])
+        L, K = world["length"], world["vocab"]
+        if world["denoiser"] == "tabular" and (K + 1) ** L > disc.ENUM_CAP:
+            raise ConfigError(f"tabular denoiser needs (K+1)^L <= "
+                              f"{disc.ENUM_CAP}, got {(K + 1) ** L}")
+        alphabet = world.get("alphabet", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:K])
+        if len(alphabet) != K or len(set(alphabet)) != K:
+            raise ConfigError(f"alphabet {alphabet!r} needs {K} distinct "
+                              f"characters, one per token")
+        pre = world["pretrain"]
+        rows = [tokens_from_string(s, alphabet) for s in pre["sequences"]]
+        if not rows or any(r.size != L for r in rows):
+            raise ConfigError(f"pretrain.sequences needs at least one "
+                              f"string, each of {L} characters")
+        disc.pretrain_weights(pre.get("probs"), len(rows))
+        data = np.stack(rows)
+    reward = make_reward(cfg["reward"], vocab=world.get("vocab"),
+                         alphabet=alphabet)
+    ecfg.validate_against(reward)
+    return reward, ecfg, mcfg, schedule, data, alphabet
 
 
 class Setup:
@@ -169,39 +210,17 @@ class Setup:
         self.root = RngStream(self.seed)
         world = cfg["world"]
         self.kind = world["kind"]
-        self.reward = _build_reward(cfg)
-        es = cfg["estep"]
-        self.ecfg = EStepConfig(alpha=float(es["alpha"]),
-                                gamma=float(es["gamma"]),
-                                particles=int(es["particles"]),
-                                guidance=es["guidance"] == "on",
-                                grad_mode=es["grad_mode"])
-        ms = cfg["mstep"]
-        self.mcfg = MStepConfig(lr=float(ms["lr"]), steps=int(ms["steps"]),
-                                kl_coeff=float(ms["kl_coeff"]),
-                                beta1=float(ms["beta1"]),
-                                beta2=float(ms["beta2"]),
-                                kl_weighting=ms["kl_weighting"],
-                                gamma=float(es["gamma"]))
+        (self.reward, self.ecfg, self.mcfg, self.schedule, data,
+         self.alphabet) = _parts(cfg)
         if self.kind == "continuous":
-            sch = world["schedule"]
-            self.schedule = make_continuous_schedule(
-                int(sch["steps"]), float(sch["beta_min"]), float(sch["beta_max"]))
-            mix = world["mixture"]
-            self.mixture = cont.GaussianMixture(mix["weights"], mix["means"],
-                                                mix["stds"])
+            self.mixture = data
             self.policy = cont.ContinuousPolicy(
                 self.schedule, self.mixture,
                 residual_widths=tuple(world["residual_widths"]),
                 rng=self.root.child(_INIT))
-            self.pretrained = self.policy.pretrained_copy()
-            self.alphabet = None
             self.enumerable = False
         else:
-            sch = world["schedule"]
-            self.schedule = make_discrete_schedule(int(sch["steps"]))
-            L, K = int(world["length"]), int(world["vocab"])
-            self.alphabet = _alphabet(world)
+            L, K = world["length"], world["vocab"]
             den_cfg = world["denoiser"]
             if den_cfg == "tabular":
                 den = disc.TabularDenoiser(L, K)
@@ -210,28 +229,21 @@ class Setup:
                                        widths=tuple(den_cfg.get("widths", [64])),
                                        rng=self.root.child(_INIT))
             if not skip_pretrain:
-                self._pretrain(den, world)
+                pre = world["pretrain"]
+                disc.pretrain(den, self.schedule, data,
+                              weights=pre.get("probs"), epochs=pre["epochs"],
+                              lr=pre["lr"],
+                              rng=self.root.child(_PRETRAIN),
+                              batch_size=pre.get("batch_size"))
             self.policy = disc.DiscretePolicy(self.schedule, den)
-            self.pretrained = self.policy.pretrained_copy()
             self.enumerable = (K + 1) ** L <= disc.ENUM_CAP
-
-    def _pretrain(self, den, world):
-        pre = world["pretrain"]
-        seqs = np.stack([np.array([self.alphabet.index(c) for c in s],
-                                  dtype=np.int64)
-                         for s in pre["sequences"]])
-        probs = pre.get("probs")
-        disc.pretrain(den, self.schedule, seqs, weights=probs,
-                      epochs=int(pre["epochs"]), lr=float(pre["lr"]),
-                      rng=self.root.child(_PRETRAIN),
-                      batch_size=pre.get("batch_size"))
+        self.pretrained = self.policy.pretrained_copy()
 
     def exact_tables(self, policy=None):
         if not self.enumerable:
             raise OracleUnavailableError("instance is not enumerable")
-        pol = policy or self.policy
-        qcfg = SoftQConfig(self.ecfg.alpha, self.ecfg.gamma)
-        return ExactSoftTables(self.schedule, pol.denoiser, self.reward, qcfg)
+        return ExactSoftTables(self.schedule, (policy or self.policy).denoiser,
+                               self.reward, self.ecfg.softq)
 
 
 def _resume_hash(cfg):
@@ -248,14 +260,8 @@ def _fmt(x):
 
 
 def _csv_row(rec):
-    vals = [rec.epoch, rec.elbo, rec.estimator, rec.mean_reward,
-            rec.reward_std, rec.diversity, rec.mode_coverage,
-            rec.weight_entropy, rec.fallbacks, rec.loss_before,
-            rec.loss_after]
-    out = []
-    for v in vals:
-        out.append(v if isinstance(v, str) else _fmt(v))
-    return ",".join(out) + "\n"
+    return ",".join(v if isinstance(v, str) else _fmt(v)
+                    for v in dataclasses.astuple(rec)) + "\n"
 
 
 def _dump_samples(path, terminals, alphabet):
@@ -267,26 +273,31 @@ def _dump_samples(path, terminals, alphabet):
                 fh.write("".join(alphabet[int(v)] for v in row) + "\n")
 
 
-def evaluate_policy(setup, policy, epoch, batch=None, report=None, rng=None):
-    """One metrics row: rollout statistics plus the best available ELBO."""
-    cfg = setup.cfg
-    n_eval = cfg["eval"]["samples"]
-    rng = rng or setup.root.child(_EVAL, epoch)
-    terminals = policy.rollout(rng, n_eval).terminals
+def _rollout_stats(setup, terminals):
+    """Mean reward, reward std, diversity (None below two samples) and, in
+    the continuous world, mode coverage of terminal samples."""
     rewards = np.atleast_1d(setup.reward.value(terminals)).astype(float)
-    rec = met.ElboRecord(
-        epoch=epoch, elbo=float("nan"), estimator="none",
-        mean_reward=float(rewards.mean()), reward_std=float(rewards.std()),
-        diversity=met.diversity(terminals), n_samples=n_eval)
+    out = {"mean_reward": float(rewards.mean()),
+           "reward_std": float(rewards.std()),
+           "diversity": (met.diversity(terminals)
+                         if terminals.shape[0] >= 2 else None)}
     if setup.kind == "continuous":
-        rec.mode_coverage = met.mode_coverage(
+        out["mode_coverage"] = met.mode_coverage(
             terminals, setup.mixture,
-            radius_scale=cfg["eval"]["mode_radius_scale"])
+            radius_scale=setup.cfg["eval"]["mode_radius_scale"])
+    return out
+
+
+def evaluate_policy(setup, policy, epoch, batch=None, report=None):
+    """One metrics row: rollout statistics plus the best available ELBO."""
+    terminals = policy.rollout(setup.root.child(_EVAL, epoch),
+                               setup.cfg["eval"]["samples"]).terminals
+    rec = met.ElboRecord(epoch=epoch, elbo=float("nan"), estimator="none",
+                         **_rollout_stats(setup, terminals))
     searched = batch is not None and batch.searched
     if setup.enumerable:
         rec.elbo = met.elbo_exact_tabular(setup.exact_tables(policy))
         rec.estimator = "exact-tabular"
-        rec.mc_error_free = True
     elif searched:
         rec.elbo = met.elbo_surrogate(policy, batch, setup.ecfg.alpha,
                                       setup.ecfg.gamma)
@@ -413,8 +424,6 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
         _dump_samples(os.path.join(out_dir, "samples.txt"), terminals,
                       setup.alphabet)
     final_ckpt = os.path.join(out_dir, f"ckpt_epoch{cfg['epochs']:04d}.json")
-    if cfg["epochs"] == 0:
-        final_ckpt = os.path.join(out_dir, "ckpt_epoch0000.json")
     return {"out_dir": out_dir, "records": records, "setup": setup,
             "policy": policy, "checkpoint": final_ckpt}
 
@@ -437,24 +446,13 @@ def run_eval(ckpt_path, n_samples, posterior=False, seed=None, out_dir=None):
     """Rollout metrics from a checkpoint; optionally also posterior-search
     samples from the same parameters (the test-time inference mode)."""
     setup, payload = load_setup_from_checkpoint(ckpt_path)
-    if n_samples < 1:
-        raise ConfigError("need at least one evaluation sample")
     seed = payload["seed"] if seed is None else int(seed)
     root = RngStream(seed)
     policy, reward = setup.policy, setup.reward
 
     def summarize(terminals):
-        rewards = np.atleast_1d(reward.value(terminals)).astype(float)
-        out = {"mean_reward": float(rewards.mean()),
-               "reward_std": float(rewards.std()),
-               "n": int(terminals.shape[0])}
-        out["diversity"] = (met.diversity(terminals)
-                            if terminals.shape[0] >= 2 else None)
-        if setup.kind == "continuous":
-            out["mode_coverage"] = met.mode_coverage(
-                terminals, setup.mixture,
-                radius_scale=setup.cfg["eval"]["mode_radius_scale"])
-        return out
+        return {**_rollout_stats(setup, terminals),
+                "n": int(terminals.shape[0])}
 
     terminals = policy.rollout(root.child(_EVAL, payload["epoch"]),
                                n_samples).terminals

@@ -7,7 +7,7 @@ from emdiff.errors import ConfigError
 from emdiff.estep import EStepConfig, sample_posterior_batch
 from emdiff.metrics import (diversity, elbo_by_path_enumeration,
                             elbo_exact_tabular, elbo_surrogate, levenshtein,
-                            mode_coverage, ngram_frequency_correlation)
+                            mode_coverage)
 from emdiff.numkit import RngStream
 from emdiff.rewards import MotifCountReward, Reward
 from emdiff.schedules import make_discrete_schedule
@@ -199,12 +199,3 @@ def test_surrogate_needs_batch():
     with pytest.raises(ConfigError):
         elbo_surrogate(policy, rollouts, 0.5, 1.0)
 
-
-def test_ngram_correlation_self_is_one():
-    rng = RngStream(7)
-    seqs = rng.gen.integers(0, 2, size=(50, 8))
-    c = ngram_frequency_correlation(seqs, seqs, K=2, n=2)
-    assert c == pytest.approx(1.0, abs=1e-12)
-    other = 1 - seqs
-    c2 = ngram_frequency_correlation(seqs, other, K=2, n=1)
-    assert c2 < 1.0

@@ -1,5 +1,5 @@
-"""Property tests of the numeric kernel, the substitution rows and the exact
-soft tables."""
+"""Property tests of the numeric kernel, the substitution rows, the exact
+soft tables and the batched edit distance."""
 
 import itertools
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from emdiff import metrics
 from emdiff.discrete import (TabularDenoiser, enumerate_states, mask_token,
                              state_index, subs_position_probs)
 from emdiff.numkit import RngStream, log_sum_exp, sample_categorical
@@ -154,3 +155,16 @@ def test_exact_tables_match_per_state_reference(L, K, seed, alpha, gamma,
             np.testing.assert_allclose(tables.q[t][sl], q, rtol=0, atol=1e-12)
             assert abs(tables.logZ[t, s_ix] - lz) <= 1e-12
     np.testing.assert_allclose(tables.V, V, rtol=0, atol=1e-12)
+
+
+@FAST
+@given(st.integers(2, 8), st.integers(0, 6), st.integers(1, 3), st.data())
+def test_pairwise_levenshtein_matches_scalar_reference(n, L, K, data):
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, K - 1), min_size=L, max_size=L),
+        min_size=n, max_size=n)), dtype=np.int64).reshape(n, L)
+    iu, ju = np.triu_indices(n, k=1)
+    batched = metrics._pairwise_levenshtein_same_length(rows[iu], rows[ju])
+    scalar = [metrics.levenshtein(rows[i], rows[j]) for i, j in zip(iu, ju)]
+    np.testing.assert_array_equal(batched, scalar)
+    assert metrics.diversity(rows) == np.mean(scalar)

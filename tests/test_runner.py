@@ -100,6 +100,87 @@ def test_bad_run_settings_rejected_before_compute(over):
         runner.resolve_config(cfg)
 
 
+
+def _set(cfg, path, value):
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return cfg
+
+
+BAD_CONFIGS = [
+    # unknown keys, at every level of the schema
+    (tiny_cfg, "epoch", 3),
+    (tiny_cfg, "world.lenght", 2),
+    (cont_cfg, "world.schedule.beta_mn", 0.1),
+    (tiny_cfg, "world.pretrain.epoch", 10),
+    (tiny_cfg, "world.denoiser", {"kind": "mlp", "width": [8]}),
+    (tiny_cfg, "reward.motiv", "AB"),
+    (tiny_cfg, "estep.particle", 64),
+    (cont_cfg, "mstep.kl_coef", 0.1),
+    (tiny_cfg, "eval.sample", 10),
+    # keys of the other world kind or of another reward
+    (tiny_cfg, "world.residual_widths", [8]),
+    (cont_cfg, "reward.motif", "AB"),
+    # wrong types
+    (tiny_cfg, "mstep.lr", "0.05"),
+    (tiny_cfg, "batch", 2.7),
+    (tiny_cfg, "batch", True),
+    (tiny_cfg, "eval.samples", "300"),
+    (cont_cfg, "world.mixture.stds", [0.7, "0.7"]),
+    (tiny_cfg, "reward.differentiable", "no"),
+    # values out of range
+    (cont_cfg, "estep.alpha", -1),
+    (tiny_cfg, "estep.gamma", 1.5),
+    (tiny_cfg, "estep.particles", 0),
+    (cont_cfg, "mstep.kl_coeff", -1),
+    (tiny_cfg, "mstep.lr", -1),
+    (cont_cfg, "estep.grad_mode", "bogus"),
+    (tiny_cfg, "mstep.kl_weighting", "bogus"),
+    (tiny_cfg, "world.denoiser", "bogus"),
+    (tiny_cfg, "world.denoiser", {"kind": "cnn"}),
+    (tiny_cfg, "world.alphabet", "ABC"),
+    (tiny_cfg, "reward.name", "linear"),
+    (cont_cfg, "reward", {"name": "motif_count", "motif": "AB"}),
+    (cont_cfg, "world.schedule.steps", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg_fn, path, value", BAD_CONFIGS,
+    ids=[f"{fn.__name__}-{path}={value!r}" for fn, path, value in BAD_CONFIGS])
+def test_bad_config_rejected_by_resolve_config(cfg_fn, path, value):
+    with pytest.raises(ConfigError):
+        runner.resolve_config(_set(cfg_fn(), path, value))
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("tiny_discrete.json",
+     "1b798c31e64aa58c971cade7d869b7c08b75fbd0107e369129ec4f0ea40ff77e"),
+    ("mixture2d.json",
+     "5685e487f545483ea7fc4238c7aa4a8b94f0907468a5beef46897376a12f72cc"),
+])
+def test_shipped_config_hash_is_pinned(name, digest):
+    # checkpoints of the shipped configs resume only while this holds
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    with open(path) as fh:
+        cfg = runner.resolve_config(json.load(fh))
+    assert checkpoint.config_hash(cfg) == digest
+
+
+@pytest.mark.parametrize("path, value", [
+    ("estep.alpha", -1), ("eval.samples", "300"), ("world.denoiser", "bogus"),
+])
+def test_cli_rejects_bad_config_before_writing(tmp_path, path, value):
+    cfg_path = str(tmp_path / "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(_set(tiny_cfg(), path, value), fh)
+    out = tmp_path / "run"
+    assert cli.main(["align", "--config", cfg_path, "--out", str(out)]) == 2
+    assert not (out / "config.json").exists()
+
 def test_run_align_outputs_and_rows(tmp_path):
     out = runner.run_align(tiny_cfg(), str(tmp_path / "run"))
     assert os.path.exists(out["checkpoint"])
