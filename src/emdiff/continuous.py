@@ -11,7 +11,7 @@ distribution up to the coarseness of the chain.
 import numpy as np
 
 from .errors import ConfigError
-from .numkit import Mlp, softmax
+from .numkit import Mlp, float_array, softmax, sq_dist
 from .trajectory import TrajectoryBatch
 
 
@@ -19,16 +19,14 @@ class GaussianMixture:
     """Isotropic Gaussian mixture: weights w_k, means mu_k, stds s_k."""
 
     def __init__(self, weights, means, stds):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.asarray(means, dtype=float)
-        self.stds = np.asarray(stds, dtype=float)
-        if self.means.ndim != 2:
-            raise ConfigError("means must be (K, d)")
+        self.weights = float_array(weights, 1, "mixture weights")
+        self.means = float_array(means, 2, "mixture means (K, d)")
+        self.stds = float_array(stds, 1, "mixture stds")
         k = self.means.shape[0]
         if self.weights.shape != (k,) or self.stds.shape != (k,):
             raise ConfigError("weights/stds must match the component count")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ConfigError("mixture weights must sum to 1")
+        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ConfigError("mixture weights must be positive and sum to 1")
         if np.any(self.stds <= 0):
             raise ConfigError("component stds must be positive")
 
@@ -57,61 +55,101 @@ def forward_marginal_sample(schedule, x0, t, rng):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.normal(x0.shape)
 
 
-def _mixture_stats(mixture, xt, abar):
+def _flat(mixture, xt, abar):
+    """x_t as (n, d) rows and its leading shape; sqrt(abar) and 1 - abar as
+    (1, n) rows and the component variances v_k = abar s_k^2 + 1 - abar of
+    x_t | k as a (K, n) array (one column for a scalar abar)."""
     xt = np.asarray(xt, dtype=float)
-    ab = np.asarray(abar, dtype=float)
-    sqrt_ab = np.sqrt(ab)[..., None, None]
-    v = ab[..., None] * mixture.stds**2 + (1.0 - ab[..., None])  # (..., K)
-    diff = xt[..., None, :] - sqrt_ab * mixture.means            # (..., K, d)
-    d = mixture.dim
-    loglik = (np.log(mixture.weights)
-              - 0.5 * d * np.log(2.0 * np.pi * v)
-              - 0.5 * np.sum(diff * diff, axis=-1) / v)
-    resp = softmax(loglik, axis=-1)                              # (..., K)
-    m = (sqrt_ab * mixture.stds[:, None] ** 2 * xt[..., None, :]
-         + (1.0 - ab[..., None, None]) * mixture.means) / v[..., None]
-    return v, diff, resp, m
+    ab = np.asarray(abar, dtype=float).reshape(1, -1)
+    v = mixture.stds[:, None] ** 2 * ab + (1.0 - ab)
+    return (xt.reshape(-1, mixture.dim), xt.shape[:-1], np.sqrt(ab),
+            1.0 - ab, v)
+
+
+def mixture_stats(mixture, xt, abar):
+    """Responsibilities resp (..., K) and posterior mean xhat (..., d) of x_t
+    when x_t = sqrt(abar) x0 + noise and x0 follows the mixture.
+
+    abar may be a scalar or an array matching xt's leading shape. The
+    squared distances |x_t - sqrt(abar) mu_k|^2 come in expanded form and
+        xhat = sqrt(abar) (sum_k resp_k s_k^2 / v_k) x_t
+               + (1 - abar) (resp / v) @ mu,
+    so every product is a matmul over components and no (n, K, d) array is
+    built. The work runs component-major, (K, n).
+    """
+    x, lead, sab, b, v = _flat(mixture, xt, abar)
+    loglik = (np.log(mixture.weights)[:, None]
+              - 0.5 * mixture.dim * np.log(2.0 * np.pi * v)
+              - 0.5 * sq_dist(x, mixture.means, sab) / v)
+    resp = softmax(loglik, axis=0)
+    rv = resp / v
+    xhat = (sab * (mixture.stds**2 @ rv)).T * x + b.T * (rv.T @ mixture.means)
+    return resp.T.reshape(lead + (-1,)), xhat.reshape(lead + (-1,))
 
 
 def x0hat(mixture, xt, abar):
     """Posterior mean E[x0 | x_t] when x_t = sqrt(abar) x0 + noise.
 
     abar may be a scalar or an array matching xt's leading shape. At
-    abar = 1 this returns xt exactly (t = 0 convention).
+    abar = 1 this returns xt (to rounding; t = 0 convention).
     """
-    _, _, resp, m = _mixture_stats(mixture, xt, abar)
-    return np.sum(resp[..., None] * m, axis=-2)
+    return mixture_stats(mixture, xt, abar)[1]
 
 
-def x0hat_jacobian(mixture, xt, abar):
-    """x0hat and its Jacobian d x0hat / d x_t, shape (..., d, d)."""
-    xt = np.asarray(xt, dtype=float)
-    ab = np.asarray(abar, dtype=float)
-    v, diff, resp, m = _mixture_stats(mixture, xt, abar)
-    xhat = np.sum(resp[..., None] * m, axis=-2)
-    g = -diff / v[..., None]                       # dloglik_k/dxt, (..., K, d)
-    gbar = np.sum(resp[..., None] * g, axis=-2)    # (..., d)
-    centered = g - gbar[..., None, :]
-    jac = np.einsum("...k,...ka,...kb->...ab", resp, m, centered)
-    slope = np.sum(resp * np.sqrt(ab)[..., None] * mixture.stds**2 / v, axis=-1)
-    eye = np.eye(mixture.dim)
-    jac = jac + slope[..., None, None] * eye
-    return xhat, jac
+def x0hat_jacobian(mixture, xt, abar, stats=None):
+    """x0hat and its Jacobian d x0hat / d x_t, shape (..., d, d), for
+    abar in (0, 1].
+
+    stats, the (resp, xhat) of xt at abar from mixture_stats, saves the
+    statistics pass. By Tweedie's formula, sqrt(abar) x0hat = x +
+    (1 - abar) grad log p(x), so the Jacobian is
+    (I + (1 - abar) H) / sqrt(abar) with H the Hessian of log p. With
+    c_k = 1 / v_k, C = c - sum_k resp_k c_k, u = (resp c) @ mu and
+    z = (resp C c) @ mu, that is
+        slope I + (1 - abar) / sqrt(abar) (sum_k resp_k C_k^2) x x^T
+        - (1 - abar) (x z^T + z x^T)
+        + sqrt(abar) (1 - abar) ((resp c^2) @ mu mu^T - u u^T),
+    slope = sqrt(abar) sum_k resp_k s_k^2 c_k, all built from (K, n)
+    responsibilities by matmuls over components. The x x^T coefficient is
+    a spread of the c_k, so nothing cancels at |x| >> |mu|.
+    """
+    resp, xhat = mixture_stats(mixture, xt, abar) if stats is None else stats
+    x, lead, sab, b, v = _flat(mixture, xt, abar)
+    K, d = mixture.n_components, mixture.dim
+    mu = mixture.means
+    r = np.ascontiguousarray(resp.reshape(-1, K).T)              # (K, n)
+    c = 1.0 / v
+    rc = r * c
+    C = c - rc.sum(axis=0)
+    rC = r * C
+    bz, u = b.T * ((rC * c).T @ mu), rc.T @ mu                   # (n, d)
+    xx = (b / sab * (rC * C).sum(axis=0)).T * x
+    outer = (mu[:, :, None] * mu[:, None, :]).reshape(K, d * d)
+    spread = (((rc * c).T @ outer).reshape(-1, d, d)
+              - u[:, :, None] * u[:, None, :])
+    jac = (x[:, :, None] * (xx - bz)[:, None, :]
+           - bz[:, :, None] * x[:, None, :]
+           + (sab * b).T[:, :, None] * spread)
+    slope = sab[0] * (mixture.stds**2 @ rc)
+    jac.reshape(-1, d * d)[:, ::d + 1] += slope[:, None]      # diagonal
+    return xhat, jac.reshape(lead + (d, d))
 
 
-def reward_state_grad(mixture, reward, xt, abar, mode="exact"):
+def reward_state_grad(mixture, reward, xt, abar, mode="exact", stats=None):
     """x0hat(x_t) and the gradient of r(x0hat(x_t)) wrt x_t, as (xhat, grad).
 
     mode "exact" chains the closed-form posterior-mean Jacobian;
     "straight_through" treats x0hat as the identity map (the usual
-    stop-gradient shortcut) and is kept for comparison runs.
+    stop-gradient shortcut) and is kept for comparison runs. stats, the
+    (resp, xhat) of xt at abar from mixture_stats, saves the statistics
+    pass.
     """
     if mode == "straight_through":
-        xhat = x0hat(mixture, xt, abar)
+        xhat = x0hat(mixture, xt, abar) if stats is None else stats[1]
         return xhat, reward.grad(xhat)
     if mode != "exact":
         raise ConfigError(f"unknown guidance gradient mode {mode!r}")
-    xhat, jac = x0hat_jacobian(mixture, xt, abar)
+    xhat, jac = x0hat_jacobian(mixture, xt, abar, stats)
     return xhat, np.einsum("...ab,...a->...b", jac, reward.grad(xhat))
 
 
@@ -123,7 +161,7 @@ def gauss_logpdf(x, mean, sig2):
     diff = np.asarray(x, dtype=float) - mean
     d = diff.shape[-1]
     return (-0.5 * d * np.log(2.0 * np.pi * sig2)
-            - 0.5 * np.sum(diff * diff, axis=-1) / sig2)
+            - 0.5 * np.einsum("...i,...i->...", diff, diff) / sig2)
 
 
 class ContinuousPolicy:

@@ -41,30 +41,36 @@ class EStepConfig:
                 "set guidance off for black-box rewards")
 
 
-def _propose_continuous_batch(policy, reward, X, t, cfg, rng):
-    """Vectorized proposal for a batch of states: (n, d) -> (n, M, d)."""
+def _propose_continuous_batch(policy, reward, X, t, cfg, rng, stats):
+    """Vectorized proposal for a batch of states: (n, d) -> (n, M, d).
+
+    One mixture-statistics pass per state: stats (the (resp, xhat) of X at
+    alpha_bar[t], or None) serve the policy mean and the guidance gradient,
+    and the candidates' pass at alpha_bar[t - 1] scores them and is
+    returned for the kept rows to carry into the next step.
+    """
     sc = policy.schedule
+    mix = policy.mixture
     sig2 = sc.sig2[t]
+    if stats is None:
+        stats = cont.mixture_stats(mix, X, sc.alpha_bar[t])
+    mu_prior = policy.posterior_mean_from_x0hat(X, t, stats[1])
+    if not policy.frozen:
+        mu_prior = mu_prior + policy.residual_shift(X, t)
+    mu_prop = mu_prior
     if cfg.guidance:
         cfg.validate_against(reward)
-        # one mixture-statistics pass serves both the policy mean and the
-        # guidance gradient
-        xhat, grad = cont.reward_state_grad(policy.mixture, reward, X,
-                                            sc.alpha_bar[t], cfg.grad_mode)
-        mu_prior = policy.posterior_mean_from_x0hat(X, t, xhat)
-        if not policy.frozen:
-            mu_prior = mu_prior + policy.residual_shift(X, t)
+        _, grad = cont.reward_state_grad(mix, reward, X, sc.alpha_bar[t],
+                                         cfg.grad_mode, stats)
         mu_prop = mu_prior + (sig2 / cfg.alpha) * cfg.gamma ** (t - 1) * grad
-    else:
-        mu_prior = policy.mean(X, t)
-        mu_prop = mu_prior
     n, d = X.shape
     eps = rng.normal((n, cfg.particles, d))
     states = mu_prop[:, None, :] + np.sqrt(sig2) * eps
     log_prop = cont.gauss_logpdf(states, mu_prop[:, None, :], sig2)
     log_prior = cont.gauss_logpdf(states, mu_prior[:, None, :], sig2)
-    r_hat = x0hat_reward(policy, reward, states, t - 1)
-    return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
+    cand = cont.mixture_stats(mix, states, sc.alpha_bar[t - 1])
+    qhat = approx_soft_q(cfg.softq, t, reward.value(cand[1]))
+    return states, log_prop, log_prior, qhat, cand
 
 
 def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
@@ -111,18 +117,22 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 
 
-def search_step_batch(policy, reward, X, t, cfg, rng):
+def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
     """One propose/weight/resample step for a whole batch of states.
 
     Returns the resampled next states plus per-row bookkeeping (selected
-    log densities, weight correction, qhat, weight entropy, fallback mask).
+    log densities, weight correction, qhat, weight entropy, fallback mask,
+    and the next states' mixture statistics, None in the discrete world).
+    stats, the mixture statistics of X that the previous step returned,
+    saves recomputing them; results agree with a fresh pass to rounding.
     """
     if isinstance(policy, cont.ContinuousPolicy):
-        states, log_prop, log_prior, qhat = _propose_continuous_batch(
-            policy, reward, X, t, cfg, rng)
+        states, log_prop, log_prior, qhat, cand = _propose_continuous_batch(
+            policy, reward, X, t, cfg, rng, stats)
     else:
         states, log_prop, log_prior, qhat = _propose_discrete_batch(
             policy, reward, X, t, cfg, rng)
+        cand = None
     n = X.shape[0]
     logw = log_prior - log_prop + qhat / cfg.alpha
     finite = np.isfinite(logw)
@@ -141,8 +151,9 @@ def search_step_batch(policy, reward, X, t, cfg, rng):
     nz = weights > 0
     ent = -np.sum(np.where(nz, weights * np.log(
         np.where(nz, weights, 1.0)), 0.0), axis=1)
+    kept = None if cand is None else tuple(a[rows, k] for a in cand)
     info = (log_prior[rows, k], log_prop[rows, k], corr[rows, k],
-            qhat[rows, k], ent, fallback_rows)
+            qhat[rows, k], ent, fallback_rows, kept)
     return states[rows, k], info
 
 
@@ -160,8 +171,10 @@ def sample_posterior_batch(policy, reward, cfg, rng, n):
         X = np.full((n, policy.L), disc.mask_token(policy.K), dtype=np.int64)
     states = [X]
     infos = []
+    stats = None
     for t in range(T, 0, -1):
-        X, info = search_step_batch(policy, reward, X, t, cfg, rng.child(t))
+        X, (*info, stats) = search_step_batch(policy, reward, X, t, cfg,
+                                              rng.child(t), stats)
         states.append(X)
         infos.append(info)
     _, log_prop, corr, _, ent, fallback = zip(*infos)

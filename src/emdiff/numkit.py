@@ -7,7 +7,7 @@ by hand where they are needed.
 
 import numpy as np
 
-from .errors import RunAbortedError
+from .errors import ConfigError, RunAbortedError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,6 +73,36 @@ def softmax(v, axis=-1):
     m = np.max(v, axis=axis, keepdims=True)
     e = np.exp(v - np.where(np.isfinite(m), m, 0.0))
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def sq_dist(x, centers, scale=1.0):
+    """|x - scale * c_k|^2 for every row c_k of centers, component-major:
+    x (..., d) -> (K, ...).
+
+    Expanded as |x|^2 - 2 scale c_k.x + scale^2 |c_k|^2, so the cost is one
+    (K, d) @ (d, n) product over the n flattened rows and no (K, n, d)
+    difference is built. Component-major keeps sums over components row
+    operations, which numpy vectorizes; a reduction along a short last
+    axis costs several times more. scale is a scalar or a (1, n) row.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    sq = (np.einsum("ni,ni->n", flat, flat) - 2.0 * scale * (centers @ flat.T)
+          + scale**2 * np.einsum("ki,ki->k", centers, centers)[:, None])
+    return sq.reshape(centers.shape[:1] + x.shape[:-1])
+
+
+def float_array(value, ndim, what):
+    """value as a non-empty float array with ndim axes; anything else (a
+    ragged nested list, another rank, a non-number) raises ConfigError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what} must be a {ndim}-d array of numbers") from e
+    if arr.ndim != ndim or arr.size == 0:
+        raise ConfigError(f"{what} must be a non-empty {ndim}-d array of "
+                          f"numbers, got shape {arr.shape}")
+    return arr
 
 
 def sample_categorical(probs, rng, size=None):

@@ -13,6 +13,7 @@ pathway, in which case gradient calls raise.
 import numpy as np
 
 from .errors import ConfigError
+from .numkit import float_array, sq_dist
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -48,7 +49,8 @@ class LinearReward(Reward):
 
     def __init__(self, coeffs, differentiable=True):
         super().__init__("linear", CONTINUOUS, differentiable)
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = float_array(coeffs, 1, "linear coeffs")
+        self.dim = self.coeffs.size
 
     def value(self, x0):
         return np.asarray(x0, dtype=float) @ self.coeffs
@@ -65,7 +67,8 @@ class NegSquaredDistReward(Reward):
 
     def __init__(self, target, differentiable=True):
         super().__init__("neg_sq_dist", CONTINUOUS, differentiable)
-        self.target = np.asarray(target, dtype=float)
+        self.target = float_array(target, 1, "neg_sq_dist target")
+        self.dim = self.target.size
 
     def value(self, x0):
         d = np.asarray(x0, dtype=float) - self.target
@@ -80,26 +83,27 @@ class ModePreferenceReward(Reward):
 
     def __init__(self, amps, centers, tau, differentiable=True):
         super().__init__("mode_preference", CONTINUOUS, differentiable)
-        self.amps = np.asarray(amps, dtype=float)
-        self.centers = np.asarray(centers, dtype=float)
+        self.amps = float_array(amps, 1, "mode_preference amps")
+        self.centers = float_array(centers, 2, "mode_preference centers")
         self.tau = float(tau)
+        self.dim = self.centers.shape[1]
         if self.centers.shape[0] != self.amps.shape[0]:
             raise ConfigError("mode_preference: amps and centers disagree")
 
     def _bumps(self, x0):
-        x0 = np.asarray(x0, dtype=float)
-        diff = x0[..., None, :] - self.centers  # (..., K, d)
-        sq = np.sum(diff * diff, axis=-1)
-        return diff, np.exp(-sq / (2.0 * self.tau**2))
+        """exp(-|x - mu_k|^2 / (2 tau^2)), component-major: (..., d) ->
+        (K, ...)."""
+        return np.exp(-sq_dist(x0, self.centers) / (2.0 * self.tau**2))
 
     def value(self, x0):
-        _, e = self._bumps(x0)
-        return np.sum(self.amps * e, axis=-1)
+        return np.einsum("k,k...->...", self.amps, self._bumps(x0))
 
     def _grad(self, x0):
-        diff, e = self._bumps(x0)
-        w = (self.amps * e)[..., None]
-        return np.sum(w * (-diff / self.tau**2), axis=-2)
+        x0 = np.asarray(x0, dtype=float)
+        w = self.amps[:, None] * self._bumps(x0).reshape(self.amps.size, -1)
+        g = (self.centers.T @ w).T - np.sum(w, axis=0)[:, None] \
+            * x0.reshape(-1, self.dim)
+        return g.reshape(x0.shape) / self.tau**2
 
 
 class MotifCountReward(Reward):
@@ -213,6 +217,9 @@ def make_reward(cfg, vocab=None, alphabet=None):
     if name == "token_count":
         token = cfg["token"]
         if isinstance(token, str):
+            if len(token) != 1:
+                raise ConfigError(f"reward token {token!r} must be one "
+                                  f"character of {alphabet!r}")
             token = int(tokens_from_string(token, alphabet)[0])
         return TokenCountReward(token, vocab, diff)
     raise ConfigError(f"unknown reward {name!r}")

@@ -197,6 +197,9 @@ def _parts(cfg):
         data = np.stack(rows)
     reward = make_reward(cfg["reward"], vocab=world.get("vocab"),
                          alphabet=alphabet)
+    if world["kind"] == "continuous" and reward.dim != data.dim:
+        raise ConfigError(f"reward {reward.name!r} is {reward.dim}-d but the "
+                          f"mixture is {data.dim}-d")
     ecfg.validate_against(reward)
     return reward, ecfg, mcfg, schedule, data, alphabet
 

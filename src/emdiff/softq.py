@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import continuous as cont
 from . import discrete as disc
 from .errors import ConfigError
 
@@ -29,15 +28,10 @@ class SoftQConfig:
 
 
 def x0hat_reward(policy, reward, states, u):
-    """r(x0hat(x_u)) for a batch of states at timestep u.
-
-    Continuous: reward at the analytic posterior mean. Discrete: relaxed
-    reward at the denoiser's clean-token distribution (exact at u = 0,
-    where states are fully unmasked).
-    """
-    if isinstance(policy, cont.ContinuousPolicy):
-        xhat = cont.x0hat(policy.mixture, states, policy.schedule.alpha_bar[u])
-        return reward.value(xhat)
+    """Relaxed reward at the denoiser's clean-token distribution for a batch
+    of discrete states at timestep u (exact at u = 0, where states are
+    fully unmasked). The continuous world scores r(x0hat) from its carried
+    mixture statistics (estep)."""
     p = disc.relaxed_x0(policy.denoiser, states, u)
     return reward.relaxed_value(p)
 

@@ -3,7 +3,7 @@ import pytest
 
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, TabularDenoiser, mask_token,
-                             pretrain)
+                             pretrain, state_index)
 from emdiff.errors import ConfigError, UnreachableTransitionError
 from emdiff.estep import (EStepConfig, sample_posterior_batch,
                           search_step_batch)
@@ -418,18 +418,25 @@ def test_trajectory_distribution_tightens_with_particles():
     reward = MotifCountReward(np.array([0, 1]), 2)
     tables = ExactSoftTables(sched, den, reward, SoftQConfig(1.0, 1.0))
 
-    start = np.full(2, MASK, dtype=np.int64)
-    exact = {}
+    # a path x_3..x_0 is indexed by its states' indices in base S
+    S = tables.states.shape[0]
+    place = S ** np.arange(4, dtype=np.int64)
+
+    def path_index(paths):
+        return state_index(paths, 2) @ place
+
+    exact = np.zeros(S**4)
 
     def walk(tokens, t, prob, path):
         if t == 0:
-            exact[path] = exact.get(path, 0.0) + prob
+            exact[path_index(np.array(path))] += prob
             return
         succ, probs = tables.tilted_policy(tokens, t)
         for row, p in zip(succ, probs):
-            walk(row, t - 1, prob * p, path + tuple(row))
+            walk(row, t - 1, prob * p, path + [row])
 
-    walk(start, 3, 1.0, tuple(start))
+    start = np.full(2, MASK, dtype=np.int64)
+    walk(start, 3, 1.0, [start])
 
     tv = {}
     for m in (4, 64):
@@ -438,12 +445,10 @@ def test_trajectory_distribution_tightens_with_particles():
         for seed in range(20):
             batch = sample_posterior_batch(policy, reward, cfg_m,
                                            RngStream(500 + seed), 2000)
-            emp = {}
-            for row in batch.states:
-                key = tuple(row.ravel())
-                emp[key] = emp.get(key, 0.0) + 1.0 / batch.n
-            keys = set(exact) | set(emp)
-            vals.append(0.5 * sum(abs(exact.get(k, 0.0) - emp.get(k, 0.0))
-                                  for k in keys))
+            ids, counts = np.unique(path_index(batch.states),
+                                    return_counts=True)
+            emp = np.zeros(S**4)
+            emp[ids] = counts / batch.n
+            vals.append(0.5 * np.sum(np.abs(exact - emp)))
         tv[m] = float(np.mean(vals))
     assert tv[64] < tv[4], tv

@@ -1,5 +1,5 @@
 """Property tests of the numeric kernel, the substitution rows, the exact
-soft tables and the batched edit distance."""
+soft tables, the batched edit distance and the continuous search kernels."""
 
 import itertools
 
@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emdiff import metrics
+from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
+                               mixture_stats, x0hat_jacobian)
 from emdiff.discrete import (TabularDenoiser, enumerate_states, mask_token,
                              state_index, subs_position_probs)
+from emdiff.estep import EStepConfig, search_step_batch
 from emdiff.numkit import RngStream, log_sum_exp, sample_categorical
-from emdiff.rewards import MotifCountReward, TokenCountReward
-from emdiff.schedules import make_discrete_schedule
+from emdiff.rewards import (ModePreferenceReward, MotifCountReward,
+                            TokenCountReward)
+from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
 from emdiff.softq import ExactSoftTables, SoftQConfig
 
 FAST = settings(max_examples=40, deadline=None, derandomize=True)
@@ -168,3 +172,154 @@ def test_pairwise_levenshtein_matches_scalar_reference(n, L, K, data):
     scalar = [metrics.levenshtein(rows[i], rows[j]) for i, j in zip(iu, ju)]
     np.testing.assert_array_equal(batched, scalar)
     assert metrics.diversity(rows) == np.mean(scalar)
+
+
+def _per_component_stats(mix, xt, abar):
+    """The per-component posterior mean and Jacobian, (..., K, d) arrays and
+    all, in extended precision: the reference the matmul kernels of
+    emdiff.continuous must reproduce. np.longdouble is 80-bit on x86-64
+    Linux; where it is plain float64 the reference is only as accurate as
+    the kernels it checks."""
+    ld = np.longdouble
+    xt, ab = np.asarray(xt, dtype=ld), ld(abar)
+    means, s2 = mix.means.astype(ld), mix.stds.astype(ld) ** 2
+    v = ab * s2 + (1 - ab)                                    # (K,)
+    diff = xt[..., None, :] - np.sqrt(ab) * means              # (..., K, d)
+    loglik = (np.log(mix.weights.astype(ld))
+              - 0.5 * mix.dim * np.log(2 * ld(np.pi) * v)
+              - 0.5 * np.sum(diff * diff, axis=-1) / v)
+    e = np.exp(loglik - loglik.max(axis=-1, keepdims=True))
+    resp = e / e.sum(axis=-1, keepdims=True)
+    m = (np.sqrt(ab) * s2[:, None] * xt[..., None, :]
+         + (1 - ab) * means) / v[:, None]
+    xhat = np.sum(resp[..., None] * m, axis=-2)
+    g = -diff / v[:, None]
+    centered = g - np.sum(resp[..., None] * g, axis=-2)[..., None, :]
+    jac = np.einsum("...k,...ka,...kb->...ab", resp, m, centered)
+    slope = np.sum(resp * np.sqrt(ab) * s2 / v, axis=-1)
+    return resp, xhat, jac + slope[..., None, None] * np.eye(mix.dim)
+
+
+@st.composite
+def mixtures(draw, max_k=4):
+    K = draw(st.integers(1, max_k))
+    d = draw(st.integers(1, 3))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=K,
+                               max_size=K)))
+    means = draw(hnp.arrays(float, (K, d), elements=st.floats(-3.0, 3.0)))
+    stds = draw(hnp.arrays(float, K, elements=st.floats(0.3, 2.0)))
+    return GaussianMixture(w / w.sum(), means, stds)
+
+
+def far_states(mix, n=6):
+    # up to 50x the mixture's extent, where the expanded squared distance
+    # |x|^2 - 2 sqrt(abar) x.mu + abar |mu|^2 loses the most to cancellation
+    return hnp.arrays(float, (n, mix.dim), elements=st.floats(-150.0, 150.0))
+
+
+# Below abar = 0.01 a state 50x out is ill-conditioned in float64 for any
+# formula: each log-likelihood carries |x|^2 / v_k, whose rounding (about
+# 1e-12 at |x| = 150) swamps the tiny differences between components, and
+# the per-component formula in float64 misses the extended-precision
+# reference by as much as the matmul form does there.
+unit_abar = st.floats(0.01, 1.0)
+
+
+@FAST
+@given(mixtures(), unit_abar, st.data())
+def test_mixture_kernels_match_per_component_reference(mix, abar, data):
+    x = data.draw(far_states(mix))
+    resp_ref, xhat_ref, jac_ref = _per_component_stats(mix, x, abar)
+    resp, xhat = mixture_stats(mix, x, abar)
+    np.testing.assert_allclose(resp, resp_ref.astype(float),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(xhat, xhat_ref.astype(float),
+                               rtol=1e-12, atol=1e-12)
+    xhat_j, jac = x0hat_jacobian(mix, x, abar)
+    np.testing.assert_array_equal(xhat_j, xhat)
+    np.testing.assert_allclose(jac, jac_ref.astype(float),
+                               rtol=1e-12, atol=1e-12)
+    # carried statistics give the same Jacobian; per-row abar matches scalar
+    np.testing.assert_array_equal(
+        x0hat_jacobian(mix, x, abar, (resp, xhat))[1], jac)
+    np.testing.assert_allclose(
+        x0hat_jacobian(mix, x, np.full(x.shape[0], abar))[1], jac,
+        rtol=1e-12, atol=1e-12)
+
+
+@FAST
+@given(st.integers(1, 4), st.integers(1, 3), st.floats(0.3, 3.0), st.data())
+def test_mode_preference_matches_per_component_reference(K, d, tau, data):
+    amps = data.draw(hnp.arrays(float, K, elements=st.floats(-2.0, 2.0)))
+    centers = data.draw(hnp.arrays(float, (K, d),
+                                   elements=st.floats(-3.0, 3.0)))
+    x = data.draw(hnp.arrays(float, (5, d), elements=st.floats(-30.0, 30.0)))
+    reward = ModePreferenceReward(amps, centers, tau)
+    diff = x[:, None, :] - centers                              # (n, K, d)
+    e = amps * np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * tau**2))
+    np.testing.assert_allclose(reward.value(x), e.sum(axis=-1),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        reward.grad(x), np.sum(e[..., None] * -diff / tau**2, axis=-2),
+        rtol=1e-12, atol=1e-12)
+
+
+@FAST
+@given(mixtures(), st.integers(2, 6), st.integers(1, 4),
+       st.integers(0, 2**32 - 1), st.data())
+def test_search_carries_fresh_statistics_of_kept_rows(mix, t, M, seed, data):
+    sched = make_continuous_schedule(6, 0.05, 0.3)
+    policy = ContinuousPolicy(sched, mix, residual_widths=(4,),
+                              rng=RngStream(seed))
+    centers = data.draw(hnp.arrays(float, (2, mix.dim),
+                                   elements=st.floats(-3.0, 3.0)))
+    reward = ModePreferenceReward([1.0, 0.5], centers, 1.2)
+    cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=M)
+    X = 3.0 * RngStream(seed, 1).normal((7, mix.dim))
+    stats = mixture_stats(mix, X, sched.alpha_bar[t])
+    fresh_next, fresh_info = search_step_batch(policy, reward, X, t, cfg,
+                                               RngStream(seed, 2))
+    nxt, info = search_step_batch(policy, reward, X, t, cfg,
+                                  RngStream(seed, 2), stats)
+    np.testing.assert_array_equal(nxt, fresh_next)
+    for got, want in zip(info[6], mixture_stats(mix, nxt,
+                                                sched.alpha_bar[t - 1])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for got, want in zip(info[:6], fresh_info[:6]):
+        np.testing.assert_array_equal(got, want)
+
+
+@FAST
+@given(st.integers(1, 3), st.integers(2, 8), st.floats(0.1, 2.0),
+       st.floats(0.5, 1.0), st.integers(0, 2**32 - 1), st.data())
+def test_single_gaussian_guided_mean_is_prior_plus_scaled_gradient(
+        d, t, alpha, gamma, seed, data):
+    # one component: x0hat = slope x + (1 - abar) mu / v is affine, so the
+    # guided mean is the prior mean plus (sig2/alpha) gamma^(t-1) slope
+    # grad r(x0hat). With one particle the kept state is the proposal draw.
+    mu = data.draw(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)))
+    s = data.draw(st.floats(0.3, 2.0))
+    sched = make_continuous_schedule(8, 0.05, 0.3)
+    policy = ContinuousPolicy(sched, GaussianMixture([1.0], [mu], [s]),
+                              residual_widths=(4,), rng=RngStream(seed))
+    for p in policy.params():
+        p += 0.3 * RngStream(seed, 3).normal(p.shape)
+    centers = data.draw(hnp.arrays(float, (2, d),
+                                   elements=st.floats(-3.0, 3.0)))
+    reward = ModePreferenceReward([1.0, -0.5], centers, 1.1)
+    cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=1)
+    n = 9
+    X = 2.0 * RngStream(seed, 1).normal((n, d))
+    nxt, _ = search_step_batch(policy, reward, X, t, cfg, RngStream(seed, 2))
+    sig2 = sched.sig2[t]
+    mean = nxt - np.sqrt(sig2) * RngStream(seed, 2).normal((n, 1, d))[:, 0]
+    ab = sched.alpha_bar[t]
+    v = ab * s**2 + 1 - ab
+    slope = np.sqrt(ab) * s**2 / v
+    xhat = slope * X + (1 - ab) * mu / v
+    diff = xhat[:, None, :] - centers
+    bumps = np.array([1.0, -0.5]) * np.exp(-np.sum(diff * diff, axis=-1)
+                                           / (2 * 1.1**2))
+    grad_r = np.sum(bumps[..., None] * -diff / 1.1**2, axis=-2)
+    want = policy.mean(X, t) + sig2 / alpha * gamma ** (t - 1) * slope * grad_r
+    np.testing.assert_allclose(mean, want, rtol=1e-12, atol=1e-12)

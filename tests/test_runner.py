@@ -145,6 +145,16 @@ BAD_CONFIGS = [
     (tiny_cfg, "reward.name", "linear"),
     (cont_cfg, "reward", {"name": "motif_count", "motif": "AB"}),
     (cont_cfg, "world.schedule.steps", 1),
+    # continuous rewards of another dimension than the mixture's
+    (cont_cfg, "reward", {"name": "linear", "coeffs": [1, 0, 0]}),
+    (cont_cfg, "reward", {"name": "neg_sq_dist", "target": [1.0]}),
+    (cont_cfg, "reward.centers", [[3, 0, 0], [-3, 0, 0]]),
+    # ragged nested lists
+    (cont_cfg, "world.mixture.means", [[3, 0], [-3]]),
+    (cont_cfg, "reward.centers", [[3, 0], [-3]]),
+    # a token string of more than one character, a mixture weight of zero
+    (tiny_cfg, "reward", {"name": "token_count", "token": "AB"}),
+    (cont_cfg, "world.mixture.weights", [1.0, 0.0]),
 ]
 
 
@@ -180,6 +190,16 @@ def test_cli_rejects_bad_config_before_writing(tmp_path, path, value):
     out = tmp_path / "run"
     assert cli.main(["align", "--config", cfg_path, "--out", str(out)]) == 2
     assert not (out / "config.json").exists()
+
+
+def test_cli_rejects_ragged_means_before_writing(tmp_path):
+    cfg_path = str(tmp_path / "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(_set(cont_cfg(), "world.mixture.means", [[3, 0], [-3]]), fh)
+    out = tmp_path / "run"
+    assert cli.main(["align", "--config", cfg_path, "--out", str(out)]) == 2
+    assert not (out / "config.json").exists()
+
 
 def test_run_align_outputs_and_rows(tmp_path):
     out = runner.run_align(tiny_cfg(), str(tmp_path / "run"))
