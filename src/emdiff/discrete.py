@@ -31,6 +31,28 @@ def state_index(tokens, K):
     return tokens @ radix
 
 
+def distinct_rows(tokens, K):
+    """Distinct rows of an (n, L) token array over {0..K}.
+
+    Returns (unique, inverse, counts) with unique[inverse] == tokens and
+    counts[i] copies of unique[i] among the rows. Rows are keyed by
+    state_index, so unique is ordered by it; where (K+1)^L exceeds the int64
+    range the key would wrap, and the rows are compared position by position
+    instead, ordered lexicographically.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    L = tokens.shape[-1]
+    if (K + 1) ** L > 2**63:
+        unique, inverse, counts = np.unique(tokens, axis=0,
+                                            return_inverse=True,
+                                            return_counts=True)
+        return unique, inverse.reshape(-1), counts
+    keys, inverse, counts = np.unique(state_index(tokens, K),
+                                      return_inverse=True, return_counts=True)
+    radix = (K + 1) ** np.arange(L, dtype=np.int64)
+    return keys[:, None] // radix % (K + 1), inverse, counts
+
+
 def enumerate_states(L, K, cap=ENUM_CAP):
     """All (K+1)^L token arrays, ordered by state_index."""
     n = (K + 1) ** L
@@ -259,19 +281,21 @@ class DiscretePolicy:
         return transition_logprob(self.schedule, self.denoiser, xt, xprev, t)
 
     def rollout(self, rng, n):
-        """n reverse chains from the all-mask state, vectorized across n."""
+        """n reverse chains from the all-mask state, vectorized across n;
+        each step's substitution rows are computed once per distinct row."""
         if n < 1:
             raise ConfigError("rollout needs n >= 1")
         T = self.schedule.T
         X = np.full((n, self.L), mask_token(self.K), dtype=np.int64)
         states = [X]
         for t in range(T, 0, -1):
-            rows = subs_position_probs(self.schedule, self.denoiser, X,
+            U, inverse, _ = distinct_rows(X, self.K)
+            rows = subs_position_probs(self.schedule, self.denoiser, U,
                                        t - 1, t)
             cdf = np.cumsum(rows, axis=-1)
             cdf[..., -1] = 1.0
             u = rng.child(t).uniform(X.shape)
-            choice = (u[..., None] > cdf).sum(axis=-1)
+            choice = (u[..., None] > cdf[inverse]).sum(axis=-1)
             X = np.where(X == mask_token(self.K), choice, X).astype(np.int64)
             states.append(X)
         return TrajectoryBatch(states=np.stack(states, axis=1),
@@ -293,6 +317,8 @@ def pretrain_weights(weights, n):
         raise ConfigError("pretraining weights need one finite nonnegative "
                           "value per sequence with a positive sum")
     return w / w.sum()
+
+
 def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
              rng=None, batch_size=None):
     """Fit the denoiser by the schedule-weighted masked cross-entropy.
@@ -312,12 +338,13 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
     K = denoiser.K
     T = schedule.T
     exact = denoiser.kind == "tabular" and 2**L <= 1024
+    if exact:
+        rows = _exact_pretrain_rows(denoiser, schedule, sequences, weights)
     opt = Adam(denoiser.params(), lr=lr)
     history = []
     for epoch in range(epochs):
         if exact:
-            loss, grads = _pretrain_pass_exact(denoiser, schedule, sequences,
-                                               weights)
+            loss, grads = _ce_rows(denoiser, *rows)
         else:
             if rng is None:
                 raise ConfigError("sampled pretraining needs an rng")
@@ -352,7 +379,10 @@ def _ce_rows(denoiser, xt_batch, t_batch, x0_batch, row_weights):
     return loss, grads
 
 
-def _pretrain_pass_exact(denoiser, schedule, sequences, weights):
+def _exact_pretrain_rows(denoiser, schedule, sequences, weights):
+    """The rows (xt, t, x0, weight) of the exact pretraining objective: every
+    sequence under every nonempty mask pattern at every t, weighted by the
+    pattern's probability. They do not change between epochs."""
     L = sequences.shape[1]
     patterns = _mask_patterns(L)
     wt = _step_weights(schedule)
@@ -369,11 +399,8 @@ def _pretrain_pass_exact(denoiser, schedule, sequences, weights):
             t_rows.append(np.full(len(sequences), t))
             x0_rows.append(sequences)
             w_rows.append(weights * wt[t - 1] * pp)
-    xt_batch = np.concatenate(xt_rows)
-    t_batch = np.concatenate(t_rows)
-    x0_batch = np.concatenate(x0_rows)
-    w_batch = np.concatenate(w_rows)
-    return _ce_rows(denoiser, xt_batch, t_batch, x0_batch, w_batch)
+    return tuple(np.concatenate(c) for c in (xt_rows, t_rows, x0_rows,
+                                             w_rows))
 
 
 def _pretrain_pass_sampled(denoiser, schedule, sequences, weights, rng,

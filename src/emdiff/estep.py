@@ -74,18 +74,23 @@ def _propose_continuous_batch(policy, reward, X, t, cfg, rng, stats):
 
 
 def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
-    """Vectorized proposal for (n, L) token states -> (n, M, L)."""
+    """Vectorized proposal for (n, L) token states -> (n, M, L).
+
+    The denoiser, the substitution rows and the guidance shift are
+    evaluated once per distinct row of X and gathered back by row.
+    """
     den = policy.denoiser
     n, L = X.shape
     M = cfg.particles
-    p0 = disc.x0_probs(den, X, np.full(n, t))              # (n, L, K)
-    rows = disc.subs_position_probs(policy.schedule, den, X, t - 1, t, x0=p0)
-    masked = X == disc.mask_token(den.K)
+    U, inverse, _ = disc.distinct_rows(X, den.K)
+    nu = U.shape[0]
+    p0 = disc.x0_probs(den, U, np.full(nu, t))             # (nu, L, K)
+    rows = disc.subs_position_probs(policy.schedule, den, U, t - 1, t, x0=p0)
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
     if cfg.guidance:
         cfg.validate_against(reward)
-        relaxed = np.concatenate([p0, np.zeros((n, L, 1))], axis=-1)
+        relaxed = np.concatenate([p0, np.zeros((nu, L, 1))], axis=-1)
         g = reward.relaxed_grad(relaxed)
         # per-position logit shifts over the K+1 classes; the mask class
         # takes the denoiser-averaged token gradient, since keeping the mask
@@ -99,21 +104,17 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
         prop_logp = log_rows
     cdf = np.cumsum(np.exp(prop_logp), axis=-1)
     cdf[..., -1] = 1.0
-    u = rng.uniform((n, M, L))
-    choice = (u[..., None] > cdf[:, None, :, :]).sum(axis=-1)
-    states = np.where(masked[:, None, :], choice,
-                      np.broadcast_to(X[:, None, :], (n, M, L))).astype(np.int64)
-    pick_prop = np.take_along_axis(
-        np.broadcast_to(prop_logp[:, None], (n, M, L, den.K + 1)),
-        states[..., None], axis=-1)[..., 0]
-    pick_prior = np.take_along_axis(
-        np.broadcast_to(log_rows[:, None], (n, M, L, den.K + 1)),
-        states[..., None], axis=-1)[..., 0]
-    mask3 = masked[:, None, :]
-    log_prop = np.where(mask3, pick_prop, 0.0).sum(axis=-1)
-    log_prior = np.where(mask3, pick_prior, 0.0).sum(axis=-1)
-    r_hat = np.reshape(x0hat_reward(policy, reward, states.reshape(n * M, L),
-                                    t - 1), (n, M))
+    # each candidate position takes the first class whose cdf reaches its
+    # uniform, then unmasked positions carry over in place: the (n, M, L)
+    # arrays set the step's peak memory, so none is copied
+    masked = (X == disc.mask_token(den.K))[:, None, :]
+    states = (rng.uniform((n, M, L))[..., None]
+              > cdf[inverse][:, None]).sum(axis=-1)
+    np.copyto(states, X[:, None, :], where=~masked)
+    pick = (inverse[:, None, None], np.arange(L), states)
+    log_prop = np.sum(prop_logp[pick], axis=-1, where=masked)
+    log_prior = np.sum(log_rows[pick], axis=-1, where=masked)
+    r_hat = x0hat_reward(policy, reward, states, t - 1)
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 
 

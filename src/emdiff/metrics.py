@@ -61,25 +61,34 @@ def elbo_by_path_enumeration(policy, tables, alpha):
     Independent of the forward-DP routine: walks every trajectory of the
     tilted chain, recomputing log p_theta from the substitution rows of
     `policy`, and accumulates eta(tau) * [sum_t (r_t/alpha + log p/eta)].
+    The log p_theta of a state's successors are computed once per (t, state)
+    and reused by every path through it.
     """
     sc = policy.schedule
     den = policy.denoiser
     T = sc.T
     start = np.full(den.L, disc.mask_token(den.K), dtype=np.int64)
     log_eta = [None] + [tables.log_eta(t) for t in range(1, T + 1)]
+    log_p = {}
+
+    def successor_log_p(s_ix, t, sl):
+        if (t, s_ix) not in log_p:
+            rows = disc.subs_position_probs(sc, den, tables.states[s_ix],
+                                            t - 1, t)
+            succ = tables.states[tables.dst[t][sl]]
+            with np.errstate(divide="ignore"):
+                log_p[t, s_ix] = np.log(rows[np.arange(den.L), succ]).sum(
+                    axis=-1).tolist()
+        return log_p[t, s_ix]
 
     def walk(s_ix, t, weight, acc):
         if t == 0:
             return weight * acc
         sl = tables.edges(t, s_ix)
-        rows = disc.subs_position_probs(sc, den, tables.states[s_ix],
-                                        t - 1, t)
         total = 0.0
-        for u_ix, le in zip(tables.dst[t][sl], log_eta[t][sl]):
-            succ = tables.states[u_ix]
-            with np.errstate(divide="ignore"):
-                log_p = float(np.sum(np.log(rows[np.arange(den.L), succ])))
-            term = (log_p - le
+        for u_ix, le, lp in zip(tables.dst[t][sl], log_eta[t][sl],
+                                successor_log_p(s_ix, t, sl)):
+            term = (lp - le
                     + (tables.reward_vec[u_ix] / alpha if t == 1 else 0.0))
             total += walk(int(u_ix), t - 1, weight * np.exp(le), acc + term)
         return total
@@ -140,16 +149,24 @@ def _pairwise_levenshtein_same_length(A, B):
 
 def diversity(samples):
     """Mean pairwise distance: Euclidean for vectors, edit distance for
-    token sequences."""
+    token sequences (nonnegative integers).
+
+    Token rows are compared once per pair of distinct rows, each distance
+    weighted by how many pairs of rows it stands for; the distances are
+    integers, so the mean is exactly the all-pairs one.
+    """
     arr = np.asarray(samples)
     n = arr.shape[0]
     if n < 2:
         raise ConfigError("diversity needs at least two samples")
-    iu, ju = np.triu_indices(n, k=1)
     if np.issubdtype(arr.dtype, np.floating):
+        iu, ju = np.triu_indices(n, k=1)
         diff = arr[iu] - arr[ju]
         return float(np.sqrt(np.sum(diff * diff, axis=-1)).mean())
-    return float(_pairwise_levenshtein_same_length(arr[iu], arr[ju]).mean())
+    rows, _, counts = disc.distinct_rows(arr, int(arr.max(initial=0)))
+    iu, ju = np.triu_indices(rows.shape[0], k=1)
+    dist = _pairwise_levenshtein_same_length(rows[iu], rows[ju])
+    return int(np.dot(counts[iu] * counts[ju], dist)) / (n * (n - 1) // 2)
 
 
 def mode_coverage(samples, mixture, radius_scale=2.0, radii=None):

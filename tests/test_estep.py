@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from emdiff import discrete as disc
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
-from emdiff.discrete import (DiscretePolicy, TabularDenoiser, mask_token,
-                             pretrain, state_index)
+from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
+                             mask_token, pretrain, state_index)
 from emdiff.errors import ConfigError, UnreachableTransitionError
 from emdiff.estep import (EStepConfig, sample_posterior_batch,
                           search_step_batch)
@@ -12,7 +13,7 @@ from emdiff.oracle import resampled_next_state_tv
 from emdiff.rewards import (LinearReward, MotifCountReward, Reward,
                             TokenCountReward)
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
-from emdiff.softq import ExactSoftTables, SoftQConfig
+from emdiff.softq import ExactSoftTables, SoftQConfig, x0hat_reward
 
 MASK = mask_token(2)
 
@@ -205,6 +206,46 @@ def test_discrete_guidance_off_matches_prior_rows():
                                   RngStream(9))
     np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
     assert np.all(nxt[:, 1] == 0)  # carry-over position fixed
+
+
+def _each_row_distinct(tokens, K):
+    """distinct_rows as if no two rows were equal: the row-by-row reference
+    that evaluating each distinct row once must reproduce."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n = tokens.shape[0]
+    return tokens, np.arange(n), np.ones(n, dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+def test_distinct_row_evaluation_matches_row_by_row(kind, monkeypatch):
+    # a batch full of duplicates: 60 rows drawn from three states. A table
+    # lookup is row-independent, so the tabular outputs agree bit for bit;
+    # a matmul over fewer rows may round differently, within 1e-12
+    sched = make_discrete_schedule(4)
+    if kind == "tabular":
+        den = TabularDenoiser(3, 2)
+        den.table[:] = RngStream(30).normal(den.table.shape)
+    else:
+        den = MlpDenoiser(3, 2, 4, widths=(16,), rng=RngStream(30))
+    policy = DiscretePolicy(sched, den)
+    reward = MotifCountReward(np.array([0, 1]), 2)
+    pool = np.array([[MASK, MASK, MASK], [0, MASK, MASK], [0, 1, MASK]])
+    X = pool[RngStream(31).gen.integers(0, 3, 60)]
+    cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=8, guidance=True)
+
+    def outputs():
+        nxt, info = search_step_batch(policy, reward, X, 3, cfg,
+                                      RngStream(32))
+        return [x0hat_reward(policy, reward, X, 2), nxt, *info[:6],
+                policy.rollout(RngStream(33), 60).states]
+
+    fast = outputs()
+    monkeypatch.setattr(disc, "distinct_rows", _each_row_distinct)
+    for got, want in zip(fast, outputs()):
+        if kind == "tabular" or got.dtype != float:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_importance_weights_uniform_for_constant_reward():

@@ -7,14 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emdiff import metrics
 from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
                                mixture_stats, x0hat_jacobian)
-from emdiff.discrete import (DiscretePolicy, TabularDenoiser,
+from emdiff.discrete import (DiscretePolicy, TabularDenoiser, distinct_rows,
                              enumerate_states, mask_token, state_index,
                              subs_position_probs, x0_probs)
 from emdiff.estep import EStepConfig, search_step_batch
@@ -291,14 +291,70 @@ def test_discrete_search_logs_match_enumerated_proposal(inst, M, seed):
 @FAST
 @given(st.integers(2, 8), st.integers(0, 6), st.integers(1, 3), st.data())
 def test_pairwise_levenshtein_matches_scalar_reference(n, L, K, data):
-    rows = np.array(data.draw(st.lists(
+    # rows from a pool of up to 3 rows (duplicates) or of n rows
+    size = data.draw(st.one_of(st.integers(1, 3), st.just(n)))
+    pool = np.array(data.draw(st.lists(
         st.lists(st.integers(0, K - 1), min_size=L, max_size=L),
-        min_size=n, max_size=n)), dtype=np.int64).reshape(n, L)
+        min_size=size, max_size=size)), dtype=np.int64).reshape(size, L)
+    rows = pool[data.draw(st.lists(st.integers(0, size - 1), min_size=n,
+                                   max_size=n))]
     iu, ju = np.triu_indices(n, k=1)
     batched = metrics._pairwise_levenshtein_same_length(rows[iu], rows[ju])
     scalar = [metrics.levenshtein(rows[i], rows[j]) for i, j in zip(iu, ju)]
     np.testing.assert_array_equal(batched, scalar)
     assert metrics.diversity(rows) == np.mean(scalar)
+
+
+@st.composite
+def token_rows_with_duplicates(draw):
+    """(K, rows): up to 12 rows over {0..K} copied from a pool of up to 3
+    rows that differ from each other in one position each. L reaches past
+    the length where (K+1)^L leaves the int64 range."""
+    K, L = draw(st.integers(1, 4)), draw(st.integers(0, 70))
+    pool = [draw(hnp.arrays(np.int64, L, elements=st.integers(0, K)))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = pool[-1].copy()
+        if L:
+            row[draw(st.integers(0, L - 1))] = draw(st.integers(0, K))
+        pool.append(row)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=12))
+    return K, np.array(pool)[picks].reshape(len(picks), L)
+
+
+def _row_set(rows):
+    return sorted(map(tuple, rows.tolist()))
+
+
+# K = 3, L = 40: 4^i wraps to 0 in int64 for i >= 32, so rows that differ
+# only there would share a wrapped key. K = 2, L = 40: 3^40 lies between
+# 2^63 and 2^64, so the keys of rows ending in 2 would wrap negative. K = 1,
+# L = 63: the largest key, 2^63 - 1, fits exactly
+TAIL_ONLY = np.zeros((3, 40), dtype=np.int64)
+TAIL_ONLY[1, 35] = TAIL_ONLY[2, 39] = 3
+HIGH_KEYS = np.full((2, 40), 2, dtype=np.int64)
+HIGH_KEYS[0, 0] = 0
+ALL_ONES = np.ones((2, 63), dtype=np.int64)
+ALL_ONES[0, 0] = 0
+
+
+@FAST
+@given(token_rows_with_duplicates())
+@example((4, np.tile(np.arange(40) % 5, (3, 1))))
+@example((3, TAIL_ONLY))
+@example((2, HIGH_KEYS))
+@example((1, ALL_ONES))
+def test_distinct_rows_matches_unique_rows(case):
+    K, rows = case
+    unique, inverse, counts = distinct_rows(rows, K)
+    want, want_counts = np.unique(rows, axis=0, return_counts=True)
+    assert unique.dtype == np.int64 and unique.shape == want.shape
+    assert _row_set(unique) == _row_set(want)
+    np.testing.assert_array_equal(unique[inverse], rows)
+    np.testing.assert_array_equal(np.bincount(inverse,
+                                              minlength=unique.shape[0]),
+                                  counts)
+    assert sorted(counts) == sorted(want_counts)
 
 
 def _per_component_stats(mix, xt, abar):
