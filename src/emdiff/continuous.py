@@ -182,8 +182,8 @@ class ContinuousPolicy:
         self.schedule = schedule
         self.mixture = mixture
         d = mixture.dim
-        self.residual = Mlp([d + 1, *residual_widths, d], activation="tanh",
-                            rng=rng, zero_last=True)
+        self.residual = Mlp([d + 1, *residual_widths, d], rng=rng,
+                            zero_last=True)
         self.frozen = frozen
         self.version = 0
 

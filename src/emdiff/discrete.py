@@ -122,8 +122,7 @@ class MlpDenoiser:
         self.L = int(L)
         self.K = int(K)
         self.T = int(T)
-        self.net = Mlp([L * (K + 1) + 1, *widths, L * K], activation="tanh",
-                       rng=rng)
+        self.net = Mlp([L * (K + 1) + 1, *widths, L * K], rng=rng)
 
     def params(self):
         return self.net.params()
@@ -192,19 +191,25 @@ def stay_emit(schedule, s, t):
 
 
 def subs_position_probs(schedule, denoiser, tokens, s, t, x0=None):
-    """Per-position reverse-transition rows over K+1 classes, (..., L, K+1).
+    """Per-position reverse-transition rows over K+1 classes, (..., L, K+1):
+    the masked reverse kernel that search, rollouts, the exact tables and
+    every transition log-probability read.
 
     Unmasked positions put mass 1 on their token; masked positions keep the
     mask with probability stay and otherwise emit from the denoiser
-    prediction (see stay_emit). x0 optionally supplies x0_probs(denoiser,
-    tokens, t) when the caller already has it.
+    prediction (see stay_emit). s and t are scalars or arrays over the
+    leading shape of tokens, one step per row. x0 optionally supplies
+    x0_probs(denoiser, tokens, t) when the caller already has it.
     """
-    if s >= t:
+    s, t = np.asarray(s), np.asarray(t)
+    if (s >= t).any():
         raise ConfigError(f"reverse step needs s < t, got s={s} t={t}")
-    schedule.check_t(t)
+    schedule.check_t(t.min())
+    schedule.check_t(t.max())
     tokens = np.asarray(tokens, dtype=np.int64)
     K = denoiser.K
-    stay, emit = stay_emit(schedule, s, t)
+    # one (stay, emit) pair per row, broadcast over positions and classes
+    stay, emit = stay_emit(schedule, s[..., None, None], t[..., None, None])
     probs = x0_probs(denoiser, tokens, t) if x0 is None else x0
     rows = np.concatenate([emit * probs,
                            np.full(probs.shape[:-1] + (1,), stay)], axis=-1)
@@ -216,42 +221,30 @@ def subs_position_probs(schedule, denoiser, tokens, s, t, x0=None):
 
 
 def transition_logprob(schedule, denoiser, xt, xprev, t, x0=None):
-    """log p(x_{t-1} = xprev | x_t = xt) over aligned rows (..., L).
+    """log p(x_{t-1} = xprev | x_t = xt) over aligned rows (..., L): the sum
+    of the logs of the subs_position_probs entries at xprev, each floored at
+    1e-300.
 
-    t is per row (broadcast against the leading shape). x0 optionally
-    supplies the clean-token probabilities at xt; only their masked
-    positions are read. Emitted-token probabilities are floored at 1e-300.
+    t is per row (broadcast against the leading shape), and a leading axis
+    of length 1 in xt broadcasts against xprev. x0 optionally supplies the
+    clean-token probabilities at xt; only their masked positions are read.
     Raises UnreachableTransitionError if an unmasked token changes or a mask
     is kept into s = 0.
     """
     xt = np.asarray(xt, dtype=np.int64)
     xprev = np.asarray(xprev, dtype=np.int64)
     t = np.asarray(t)
-    schedule.check_t(t.min())
-    schedule.check_t(t.max())
+    rows = subs_position_probs(schedule, denoiser, xt, t - 1, t, x0=x0)
     m = mask_token(denoiser.K)
     masked = xt == m
-    to_mask = xprev == m
     if np.any(~masked & (xprev != xt)):
         raise UnreachableTransitionError(
             "carry-over violated: unmasked token changed")
-    stay, emit = stay_emit(schedule, t - 1, t)
-    stay, emit = stay[..., None], emit[..., None]
-    if np.any(masked & to_mask & (stay <= 0)):
+    p = np.take_along_axis(rows, xprev[..., None], axis=-1)[..., 0]
+    if np.any(masked & (xprev == m) & (p <= 0)):
         raise UnreachableTransitionError(
             "mask retained outside schedule support")
-    if x0 is None:
-        x0 = x0_probs(denoiser, xt, t)
-    emit_pos = masked & ~to_mask
-    tok = np.where(emit_pos, xprev, 0)
-    p_tok = np.take_along_axis(x0, tok[..., None], axis=-1)[..., 0]
-    with np.errstate(divide="ignore"):
-        log_emit = np.log(emit)
-        log_stay = np.log(stay)
-    logp = np.where(emit_pos, log_emit + np.log(np.maximum(p_tok, 1e-300)),
-                    0.0)
-    logp = logp + np.where(masked & to_mask, log_stay, 0.0)
-    return logp.sum(axis=-1)
+    return np.log(np.maximum(p, 1e-300)).sum(axis=-1)
 
 
 class DiscretePolicy:
@@ -323,10 +316,10 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
              rng=None, batch_size=None):
     """Fit the denoiser by the schedule-weighted masked cross-entropy.
 
-    The per-step weight is (abar_{t-1} - abar_t)/(1 - abar_t) and loss is
-    taken on masked positions only. With a tabular denoiser and small L the
-    expectation over mask patterns is enumerated exactly, making the fit
-    deterministic; otherwise patterns are sampled.
+    The per-step weight is the emit probability of stay_emit(t - 1, t), and
+    loss is taken on masked positions only. With a tabular denoiser and
+    small L the expectation over mask patterns is enumerated exactly, making
+    the fit deterministic; otherwise patterns are sampled.
 
     Returns the per-epoch loss history (empty if epochs == 0).
     """
@@ -356,12 +349,6 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
     return history
 
 
-def _step_weights(schedule):
-    ab = schedule.alpha_bar
-    t = np.arange(1, schedule.T + 1)
-    return (ab[t - 1] - ab[t]) / (1.0 - ab[t])
-
-
 def _ce_rows(denoiser, xt_batch, t_batch, x0_batch, row_weights):
     """Weighted cross-entropy on masked positions, with logit gradients."""
     logits = denoiser.logits(xt_batch, t_batch)
@@ -385,10 +372,10 @@ def _exact_pretrain_rows(denoiser, schedule, sequences, weights):
     pattern's probability. They do not change between epochs."""
     L = sequences.shape[1]
     patterns = _mask_patterns(L)
-    wt = _step_weights(schedule)
     xt_rows, t_rows, x0_rows, w_rows = [], [], [], []
     for t in range(1, schedule.T + 1):
         ab = schedule.alpha_bar[t]
+        _, emit = stay_emit(schedule, t - 1, t)
         # P(pattern) = prod over positions of keep/mask probabilities
         pat_p = np.prod(np.where(patterns, 1.0 - ab, ab), axis=1)
         for pat, pp in zip(patterns, pat_p):
@@ -398,7 +385,7 @@ def _exact_pretrain_rows(denoiser, schedule, sequences, weights):
             xt_rows.append(xt)
             t_rows.append(np.full(len(sequences), t))
             x0_rows.append(sequences)
-            w_rows.append(weights * wt[t - 1] * pp)
+            w_rows.append(weights * emit * pp)
     return tuple(np.concatenate(c) for c in (xt_rows, t_rows, x0_rows,
                                              w_rows))
 
@@ -412,6 +399,6 @@ def _pretrain_pass_sampled(denoiser, schedule, sequences, weights, rng,
     ab = schedule.alpha_bar[t_batch][:, None]
     keep = rng.uniform(x0_batch.shape) < ab
     xt_batch = np.where(keep, x0_batch, mask_token(denoiser.K))
-    wt = _step_weights(schedule)[t_batch - 1]
+    _, emit = stay_emit(schedule, t_batch - 1, t_batch)
     return _ce_rows(denoiser, xt_batch, t_batch, x0_batch,
-                    wt / batch_size)
+                    emit / batch_size)

@@ -8,6 +8,7 @@ samples from the reward-tilted posterior over denoising trajectories.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,17 @@ class EStepConfig:
             raise ConfigError(
                 "gradient guidance requires a differentiable reward; "
                 "set guidance off for black-box rewards")
+
+
+class StepInfo(NamedTuple):
+    """Per-row bookkeeping of one search step, at the kept candidate."""
+    log_prior: np.ndarray         # log p_theta of the kept state
+    log_proposal: np.ndarray      # log density of the proposal that drew it
+    log_weight_corr: np.ndarray   # log(w / mean w) of its importance weight
+    qhat: np.ndarray              # its approximate soft Q
+    entropy: np.ndarray           # entropy of the row's normalized weights
+    fallback: np.ndarray          # True where no weight was finite
+    stats: tuple | None           # kept rows' mixture statistics (continuous)
 
 
 def _propose_continuous_batch(policy, reward, X, t, cfg, rng, stats):
@@ -121,9 +133,9 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
 def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
     """One propose/weight/resample step for a whole batch of states.
 
-    Returns the resampled next states plus per-row bookkeeping (selected
-    log densities, weight correction, qhat, weight entropy, fallback mask,
-    and the next states' mixture statistics, None in the discrete world).
+    Returns the resampled next states and a StepInfo of per-row bookkeeping
+    (its stats, the next states' mixture statistics, are None in the
+    discrete world).
     stats, the mixture statistics of X that the previous step returned,
     saves recomputing them; results agree with a fresh pass to rounding.
     """
@@ -153,8 +165,8 @@ def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
     ent = -np.sum(np.where(nz, weights * np.log(
         np.where(nz, weights, 1.0)), 0.0), axis=1)
     kept = None if cand is None else tuple(a[rows, k] for a in cand)
-    info = (log_prior[rows, k], log_prop[rows, k], corr[rows, k],
-            qhat[rows, k], ent, fallback_rows, kept)
+    info = StepInfo(log_prior[rows, k], log_prop[rows, k], corr[rows, k],
+                    qhat[rows, k], ent, fallback_rows, kept)
     return states[rows, k], info
 
 
@@ -174,15 +186,19 @@ def sample_posterior_batch(policy, reward, cfg, rng, n):
     infos = []
     stats = None
     for t in range(T, 0, -1):
-        X, (*info, stats) = search_step_batch(policy, reward, X, t, cfg,
-                                              rng.child(t), stats)
+        X, info = search_step_batch(policy, reward, X, t, cfg, rng.child(t),
+                                    stats)
+        stats = info.stats
         states.append(X)
         infos.append(info)
-    _, log_prop, corr, _, ent, fallback = zip(*infos)
+
+    def column(field):
+        return np.stack([getattr(i, field) for i in infos], axis=1)
+
     return TrajectoryBatch(
         states=np.stack(states, axis=1), snapshot=policy.version,
         rewards=np.atleast_1d(reward.value(X)).astype(float),
-        log_proposal=np.stack(log_prop, axis=1),
-        log_weight_corr=np.stack(corr, axis=1),
-        weight_entropy=np.stack(ent, axis=1),
-        fallbacks=np.stack(fallback, axis=1).sum(axis=1))
+        log_proposal=column("log_proposal"),
+        log_weight_corr=column("log_weight_corr"),
+        weight_entropy=column("entropy"),
+        fallbacks=column("fallback").sum(axis=1))

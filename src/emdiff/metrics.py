@@ -58,28 +58,17 @@ def elbo_exact_tabular(tables):
 def elbo_by_path_enumeration(policy, tables, alpha):
     """Undiscounted ELBO by brute-force enumeration of whole trajectories.
 
-    Independent of the forward-DP routine: walks every trajectory of the
-    tilted chain, recomputing log p_theta from the substitution rows of
-    `policy`, and accumulates eta(tau) * [sum_t (r_t/alpha + log p/eta)].
-    The log p_theta of a state's successors are computed once per (t, state)
-    and reused by every path through it.
+    Independent of the forward-DP routine: recomputes log p_theta of every
+    edge at t with one `policy.logprob` call over the edges' end states,
+    then walks every trajectory of the tilted chain and accumulates
+    eta(tau) * [sum_t (r_t/alpha + log p/eta)].
     """
-    sc = policy.schedule
-    den = policy.denoiser
-    T = sc.T
-    start = np.full(den.L, disc.mask_token(den.K), dtype=np.int64)
+    T = policy.schedule.T
+    start = np.full(policy.L, disc.mask_token(policy.K), dtype=np.int64)
     log_eta = [None] + [tables.log_eta(t) for t in range(1, T + 1)]
-    log_p = {}
-
-    def successor_log_p(s_ix, t, sl):
-        if (t, s_ix) not in log_p:
-            rows = disc.subs_position_probs(sc, den, tables.states[s_ix],
-                                            t - 1, t)
-            succ = tables.states[tables.dst[t][sl]]
-            with np.errstate(divide="ignore"):
-                log_p[t, s_ix] = np.log(rows[np.arange(den.L), succ]).sum(
-                    axis=-1).tolist()
-        return log_p[t, s_ix]
+    log_p = [None] + [policy.logprob(tables.states[tables.src[t]],
+                                     tables.states[tables.dst[t]], t).tolist()
+                      for t in range(1, T + 1)]
 
     def walk(s_ix, t, weight, acc):
         if t == 0:
@@ -87,7 +76,7 @@ def elbo_by_path_enumeration(policy, tables, alpha):
         sl = tables.edges(t, s_ix)
         total = 0.0
         for u_ix, le, lp in zip(tables.dst[t][sl], log_eta[t][sl],
-                                successor_log_p(s_ix, t, sl)):
+                                log_p[t][sl]):
             term = (lp - le
                     + (tables.reward_vec[u_ix] / alpha if t == 1 else 0.0))
             total += walk(int(u_ix), t - 1, weight * np.exp(le), acc + term)

@@ -126,39 +126,19 @@ def sample_categorical(probs, rng, size=None):
     return int(idx) if size is None else idx.astype(np.int64)
 
 
-def _act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad(name, z):
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if name == "relu":
-        return np.where(z > 0, 1.0, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class Mlp:
     """Fully connected net with hand-derived backprop.
 
-    widths = [in, hidden..., out]; activation applied between layers only,
-    so a single-layer net is purely linear. `out_scale` multiplies the final
-    output. `zero_last=True` zero-initializes the output layer, which makes
-    the net the exact identity perturbation at initialization.
+    widths = [in, hidden..., out]; tanh is applied between layers only, so
+    a single-layer net is purely linear. `zero_last=True` zero-initializes
+    the output layer, which makes the net the exact identity perturbation
+    at initialization.
     """
 
-    def __init__(self, widths, activation="tanh", out_scale=1.0,
-                 rng=None, zero_last=False):
+    def __init__(self, widths, rng=None, zero_last=False):
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
         self.widths = list(int(w) for w in widths)
-        self.activation = activation
-        self.out_scale = float(out_scale)
         self.weights = []
         self.biases = []
         for i in range(len(self.widths) - 1):
@@ -188,7 +168,7 @@ class Mlp:
         return out
 
     def copy(self):
-        other = Mlp(self.widths, self.activation, self.out_scale)
+        other = Mlp(self.widths)
         other.weights = [w.copy() for w in self.weights]
         other.biases = [b.copy() for b in self.biases]
         return other
@@ -198,7 +178,7 @@ class Mlp:
         return y
 
     def forward_cache(self, x):
-        """Forward pass keeping pre-activations for backward().
+        """Forward pass keeping every layer's activations for backward().
 
         Accepts a single (in,) vector or a (n, in) batch; output shape
         matches the input convention.
@@ -210,18 +190,14 @@ class Mlp:
             raise ValueError(
                 f"input width {h.shape[-1]} != declared {self.in_width}")
         acts = [h]
-        pres = []
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T + b
-            pres.append(z)
-            h = _act(self.activation, z) if i < n_layers - 1 else z
+            h = np.tanh(z) if i < n_layers - 1 else z
             acts.append(h)
-        y = h * self.out_scale
-        if not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(h)):
             raise RunAbortedError("non-finite MLP output")
-        cache = (acts, pres, single)
-        return (y[0] if single else y), cache
+        return (h[0] if single else h), (acts, single)
 
     def backward(self, cache, upstream):
         """Gradients of sum(upstream * output) wrt parameters and input.
@@ -229,16 +205,16 @@ class Mlp:
         Returns (param_grads, input_grad); param_grads matches params()
         order, with batch rows summed.
         """
-        acts, pres, single = cache
-        up = np.asarray(upstream, dtype=float)
+        acts, single = cache
+        delta = np.asarray(upstream, dtype=float)
         if single:
-            up = up.reshape(1, -1)
-        delta = up * self.out_scale
+            delta = delta.reshape(1, -1)
         n_layers = len(self.weights)
         grads = [None] * (2 * n_layers)
         for i in range(n_layers - 1, -1, -1):
             if i < n_layers - 1:
-                delta = delta * _act_grad(self.activation, pres[i])
+                # tanh' = 1 - tanh^2, and acts[i + 1] is this layer's tanh
+                delta = delta * (1.0 - acts[i + 1] * acts[i + 1])
             grads[2 * i] = delta.T @ acts[i]
             grads[2 * i + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[i]

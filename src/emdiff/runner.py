@@ -268,12 +268,11 @@ def _csv_row(rec):
 
 
 def _dump_samples(path, terminals, alphabet):
-    with open(path, "w") as fh:
-        for row in terminals:
-            if alphabet is None:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            else:
-                fh.write("".join(alphabet[int(v)] for v in row) + "\n")
+    if alphabet is None:
+        lines = (" ".join(repr(float(v)) for v in row) for row in terminals)
+    else:
+        lines = ("".join(alphabet[int(v)] for v in row) for row in terminals)
+    ckpt.write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def _rollout_stats(setup, terminals):
@@ -364,8 +363,8 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "abort.txt"))
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2)
+    ckpt.write_atomic(os.path.join(out_dir, "config.json"),
+                      json.dumps(cfg, sort_keys=True, indent=2))
     setup = Setup(cfg)
     policy, pretrained, reward = setup.policy, setup.pretrained, setup.reward
     mcfg = setup.mcfg
@@ -423,9 +422,13 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
         raise
     finally:
         fh.close()
-    if terminals is not None:
-        _dump_samples(os.path.join(out_dir, "samples.txt"), terminals,
-                      setup.alphabet)
+    if terminals is None:
+        # resumed from the final checkpoint: no epoch ran, so the samples
+        # come from the restored policy under that epoch's eval key
+        terminals = policy.rollout(setup.root.child(_EVAL, start_epoch),
+                                   cfg["eval"]["samples"]).terminals
+    _dump_samples(os.path.join(out_dir, "samples.txt"), terminals,
+                  setup.alphabet)
     final_ckpt = os.path.join(out_dir, f"ckpt_epoch{cfg['epochs']:04d}.json")
     return {"out_dir": out_dir, "records": records, "setup": setup,
             "policy": policy, "checkpoint": final_ckpt}

@@ -199,9 +199,14 @@ def test_transition_logprob_equals_gathered_rows():
     Xt, Xprev, t = DiscretePolicy(sched, den).rollout(
         RngStream(12), 64).transitions()
     lp = transition_logprob(sched, den, Xt, Xprev, t)
-    ref = [np.sum(np.log(subs_position_probs(sched, den, xt, ti - 1, ti)[
-               np.arange(3), xp])) for xt, xp, ti in zip(Xt, Xprev, t)]
+    per_row = [subs_position_probs(sched, den, xt, ti - 1, ti)
+               for xt, ti in zip(Xt, t)]
+    ref = [np.sum(np.log(r[np.arange(3), xp]))
+           for r, xp in zip(per_row, Xprev)]
     np.testing.assert_allclose(lp, ref, rtol=0, atol=1e-12)
+    # per-row timesteps give each row the rows of its own scalar-t call
+    np.testing.assert_array_equal(
+        subs_position_probs(sched, den, Xt, t - 1, t), per_row)
     np.testing.assert_array_equal(
         transition_logprob(sched, den, Xt, Xprev, t,
                            x0=x0_probs(den, Xt, t)), lp)

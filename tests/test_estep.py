@@ -19,9 +19,6 @@ MASK = mask_token(2)
 
 CHI2_99_DF3 = 11.344866730144373
 
-# search_step_batch info fields
-LOG_PRIOR, LOG_PROP, CORR, QHAT, ENTROPY, FALLBACK = range(6)
-
 
 def rows(x, n):
     """n copies of one state, as a batch of search rows."""
@@ -73,7 +70,7 @@ def test_zero_gradient_proposal_equals_prior(cont_policy):
     cfg = EStepConfig(alpha=0.1, gamma=0.9, particles=6, guidance=True)
     _, info = search_step_batch(cont_policy, reward,
                                 rows([0.4, -0.2], 50), 5, cfg, RngStream(1))
-    np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
+    np.testing.assert_array_equal(info.log_proposal, info.log_prior)
 
 
 def test_guidance_off_log_ratio_bit_exact_zero(cont_policy):
@@ -81,7 +78,7 @@ def test_guidance_off_log_ratio_bit_exact_zero(cont_policy):
     cfg = EStepConfig(alpha=0.1, gamma=0.9, particles=6, guidance=False)
     _, info = search_step_batch(cont_policy, reward, rows([1.0, 0.5], 50), 4,
                                 cfg, RngStream(2))
-    assert np.all(info[LOG_PROP] - info[LOG_PRIOR] == 0.0)
+    assert np.all(info.log_proposal - info.log_prior == 0.0)
 
 
 def test_continuous_shift_affine_hand_value(cont_policy):
@@ -143,8 +140,9 @@ def test_alpha_reward_joint_scaling_bit_exact(cont_policy):
         outs.append(search_step_batch(cont_policy, reward, rows(x, 20), 5,
                                       cfg, RngStream(6)))
     np.testing.assert_array_equal(outs[0][0], outs[1][0])
-    for field in (CORR, ENTROPY):
-        np.testing.assert_array_equal(outs[0][1][field], outs[1][1][field])
+    for field in ("log_weight_corr", "entropy"):
+        np.testing.assert_array_equal(getattr(outs[0][1], field),
+                                      getattr(outs[1][1], field))
 
 
 def test_alpha_reward_joint_scaling_bit_exact_discrete():
@@ -158,8 +156,9 @@ def test_alpha_reward_joint_scaling_bit_exact_discrete():
         outs.append(search_step_batch(policy, reward, rows(xt, 20), 2, cfg,
                                       RngStream(7)))
     np.testing.assert_array_equal(outs[0][0], outs[1][0])
-    for field in (CORR, ENTROPY):
-        np.testing.assert_array_equal(outs[0][1][field], outs[1][1][field])
+    for field in ("log_weight_corr", "entropy"):
+        np.testing.assert_array_equal(getattr(outs[0][1], field),
+                                      getattr(outs[1][1], field))
 
 
 def test_discrete_guidance_doubles_target_token_odds():
@@ -179,7 +178,7 @@ def test_discrete_guidance_doubles_target_token_odds():
     ratio = counts[0] / counts[1]
     assert abs(ratio - 2.0) < 0.12
     # prior untouched by guidance
-    prior_rows = np.exp(info[LOG_PRIOR])
+    prior_rows = np.exp(info.log_prior)
     assert prior_rows.shape == (60_000,)
 
 
@@ -204,7 +203,7 @@ def test_discrete_guidance_off_matches_prior_rows():
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=12, guidance=False)
     nxt, info = search_step_batch(policy, reward, rows(xt, 40), 2, cfg,
                                   RngStream(9))
-    np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
+    np.testing.assert_array_equal(info.log_proposal, info.log_prior)
     assert np.all(nxt[:, 1] == 0)  # carry-over position fixed
 
 
@@ -236,7 +235,8 @@ def test_distinct_row_evaluation_matches_row_by_row(kind, monkeypatch):
     def outputs():
         nxt, info = search_step_batch(policy, reward, X, 3, cfg,
                                       RngStream(32))
-        return [x0hat_reward(policy, reward, X, 2), nxt, *info[:6],
+        return [x0hat_reward(policy, reward, X, 2), nxt,
+                *(v for f, v in info._asdict().items() if f != "stats"),
                 policy.rollout(RngStream(33), 60).states]
 
     fast = outputs()
@@ -266,8 +266,9 @@ def test_importance_weights_uniform_for_constant_reward():
     _, info = search_step_batch(policy, Const(), rows([MASK, MASK], 30), 2,
                                 cfg, RngStream(10))
     # the kept particle's weight is exp(corr) / M
-    np.testing.assert_allclose(np.exp(info[CORR]) / 5, 0.2, atol=1e-15)
-    np.testing.assert_allclose(info[ENTROPY], np.log(5.0), atol=1e-14)
+    np.testing.assert_allclose(np.exp(info.log_weight_corr) / 5, 0.2,
+                               atol=1e-15)
+    np.testing.assert_allclose(info.entropy, np.log(5.0), atol=1e-14)
 
 
 class LogThreeOnTokenOne(Reward):
@@ -290,14 +291,14 @@ def test_importance_weights_hand_normalization():
     cfg = EStepConfig(alpha=1.0, gamma=1.0, particles=2, guidance=False)
     nxt, info = search_step_batch(policy, LogThreeOnTokenOne(),
                                   rows([MASK], 400), 1, cfg, RngStream(11))
-    w_kept = np.exp(info[CORR]) / 2
+    w_kept = np.exp(info.log_weight_corr) / 2
     mixed = np.abs(w_kept - 0.5) > 1e-9
     assert 100 < mixed.sum() < 300
     np.testing.assert_allclose(w_kept[mixed],
                                np.where(nxt[mixed, 0] == 1, 0.75, 0.25),
                                atol=1e-12)
     h = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
-    np.testing.assert_allclose(info[ENTROPY][mixed], h, atol=1e-12)
+    np.testing.assert_allclose(info.entropy[mixed], h, atol=1e-12)
 
 
 def test_search_step_falls_back_to_uniform_on_degenerate():
@@ -317,9 +318,10 @@ def test_search_step_falls_back_to_uniform_on_degenerate():
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=4, guidance=False)
     _, info = search_step_batch(policy, MinusInf(), rows([MASK, MASK], 20), 2,
                                 cfg, RngStream(11))
-    assert np.all(info[FALLBACK])
-    np.testing.assert_allclose(np.exp(info[CORR]) / 4, 0.25, atol=1e-15)
-    np.testing.assert_allclose(info[ENTROPY], np.log(4.0), atol=1e-15)
+    assert np.all(info.fallback)
+    np.testing.assert_allclose(np.exp(info.log_weight_corr) / 4, 0.25,
+                               atol=1e-15)
+    np.testing.assert_allclose(info.entropy, np.log(4.0), atol=1e-15)
 
 
 def test_resample_point_mass_and_chi2():
@@ -343,8 +345,8 @@ def test_resample_point_mass_and_chi2():
 
     nxt, info = search_step_batch(policy, OnlyTokenOne(), rows([MASK], 200),
                                   1, cfg, RngStream(12))
-    assert np.all(nxt[~info[FALLBACK], 0] == 1)
-    assert (~info[FALLBACK]).sum() > 150
+    assert np.all(nxt[~info.fallback, 0] == 1)
+    assert (~info.fallback).sum() > 150
     # uniform weights over a uniform 4-token proposal: kept tokens uniform
     policy4 = DiscretePolicy(sched, TabularDenoiser(1, 4))
     const = MotifCountReward(np.array([0, 0]), 4)  # longer than L: always 0
@@ -371,8 +373,8 @@ def test_single_particle_no_selection_pressure():
     for t in range(T, 0, -1):
         _, info = search_step_batch(policy, reward, batch.states[:, T - t],
                                     t, cfg, RngStream(15).child(t))
-        assert np.all(info[CORR] == 0.0)
-        np.testing.assert_array_equal(info[LOG_PROP], info[LOG_PRIOR])
+        assert np.all(info.log_weight_corr == 0.0)
+        np.testing.assert_array_equal(info.log_proposal, info.log_prior)
     # statistically a prior rollout: mean reward matches within 3 sigma
     n = 600
     search_r = sample_posterior_batch(policy, reward, cfg, RngStream(16),

@@ -155,17 +155,9 @@ def _fd_check(net, x, seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_mlp_backward_matches_finite_differences(seed):
     rng = RngStream(seed)
-    net = Mlp([3, 6, 2], activation="tanh", rng=rng)
+    net = Mlp([3, 6, 2], rng=rng)
     x = rng.normal(3)
     assert _fd_check(net, x, seed) < 1e-4
-
-
-def test_mlp_relu_backward_matches_finite_differences():
-    rng = RngStream(123)
-    net = Mlp([4, 5, 3], activation="relu", rng=rng)
-    # keep away from the kink
-    x = rng.normal(4) + 0.5
-    assert _fd_check(net, x, 123) < 1e-4
 
 
 def test_mlp_batch_forward_matches_single():

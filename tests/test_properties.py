@@ -16,7 +16,8 @@ from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
                                mixture_stats, x0hat_jacobian)
 from emdiff.discrete import (DiscretePolicy, TabularDenoiser, distinct_rows,
                              enumerate_states, mask_token, state_index,
-                             subs_position_probs, x0_probs)
+                             subs_position_probs, transition_logprob,
+                             x0_probs)
 from emdiff.estep import EStepConfig, search_step_batch
 from emdiff.numkit import RngStream, log_sum_exp, sample_categorical
 from emdiff.rewards import (ModePreferenceReward, MotifCountReward,
@@ -162,6 +163,15 @@ def test_exact_tables_match_per_state_reference(L, K, seed, alpha, gamma,
             np.testing.assert_allclose(tables.q[t][sl], q, rtol=0, atol=1e-12)
             assert abs(tables.logZ[t, s_ix] - lz) <= 1e-12
     np.testing.assert_allclose(tables.V, V, rtol=0, atol=1e-12)
+    # the M-step's log-probability is the tables' kernel: every edge of
+    # every t in one call, with per-row t
+    t_rows = np.concatenate([np.full(tables.src[t].size, t)
+                             for t in range(1, T + 1)])
+    src, dst = (np.concatenate(a[1:]) for a in (tables.src, tables.dst))
+    np.testing.assert_allclose(
+        transition_logprob(sched, den, tables.states[src], tables.states[dst],
+                           t_rows),
+        np.concatenate(tables.logp[1:]), rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -279,13 +289,12 @@ def test_discrete_search_logs_match_enumerated_proposal(inst, M, seed):
         k = int(np.sum(u_keep[i] > cdf))
         kept = cand[k]
         np.testing.assert_array_equal(nxt[i], succ[kept])
-        log_prior_i, log_prop_i, corr_i, qhat_i = (c[i] for c in info[:4])
         np.testing.assert_allclose(
-            [log_prior_i, log_prop_i, qhat_i],
+            [info.log_prior[i], info.log_proposal[i], info.qhat[i]],
             [log_prior[kept], log_prop[kept], qhat[kept]],
             rtol=0, atol=1e-12)
         corr = logw[k] - (log_sum_exp(logw) - np.log(M))
-        assert abs(corr_i - corr) <= 1e-12
+        assert abs(info.log_weight_corr[i] - corr) <= 1e-12
 
 
 @FAST
@@ -465,11 +474,12 @@ def test_search_carries_fresh_statistics_of_kept_rows(mix, t, M, seed, data):
     nxt, info = search_step_batch(policy, reward, X, t, cfg,
                                   RngStream(seed, 2), stats)
     np.testing.assert_array_equal(nxt, fresh_next)
-    for got, want in zip(info[6], mixture_stats(mix, nxt,
-                                                sched.alpha_bar[t - 1])):
+    for got, want in zip(info.stats, mixture_stats(mix, nxt,
+                                                   sched.alpha_bar[t - 1])):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    for got, want in zip(info[:6], fresh_info[:6]):
-        np.testing.assert_array_equal(got, want)
+    for field, got in info._asdict().items():
+        if field != "stats":
+            np.testing.assert_array_equal(got, getattr(fresh_info, field))
 
 
 @FAST

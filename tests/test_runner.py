@@ -268,6 +268,25 @@ def test_resume_of_finished_run_drops_later_rows(tmp_path):
     assert csv == read(os.path.join(full_dir, "metrics.csv"))
 
 
+@pytest.mark.parametrize("cfg_fn", [tiny_cfg, cont_cfg])
+def test_resume_from_final_checkpoint_rewrites_samples(cfg_fn, tmp_path):
+    # a run that stopped after its last checkpoint but before samples.txt
+    # was written: resuming runs no epoch, and must still write the samples
+    # an uninterrupted run leaves
+    full_dir = str(tmp_path / "full")
+    runner.run_align(cfg_fn(epochs=6), full_dir)
+    resume_dir = str(tmp_path / "crashed")
+    shutil.copytree(full_dir, resume_dir)
+    os.remove(os.path.join(resume_dir, "samples.txt"))
+    out = runner.run_align(
+        cfg_fn(epochs=6), resume_dir,
+        resume=os.path.join(resume_dir, "ckpt_epoch0006.json"))
+    assert out["records"] == []
+    for name in ("samples.txt", "metrics.csv", "config.json"):
+        assert read(os.path.join(full_dir, name)) == \
+            read(os.path.join(resume_dir, name))
+
+
 def test_resume_rejects_variant_mismatch(tmp_path, monkeypatch):
     out = runner.run_align(tiny_cfg(epochs=2), str(tmp_path / "dav"))
 
