@@ -105,40 +105,62 @@ def elbo_surrogate(policy, batch, alpha, gamma):
     return float(per_traj.mean())
 
 
-def levenshtein(a, b):
-    """Edit distance between two token arrays (insert/delete/substitute)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    prev = np.arange(b.size + 1)
-    for i in range(1, a.size + 1):
-        cur = np.empty(b.size + 1, dtype=np.int64)
-        cur[0] = i
-        for j in range(1, b.size + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return int(prev[-1])
+_ONE, _HIGH = np.uint64(1), np.uint64(63)
 
 
-def _pairwise_levenshtein_same_length(A, B):
-    """Edit distances for aligned pair arrays (P, L), DP vectorized over P."""
-    P, L = A.shape
-    prev = np.broadcast_to(np.arange(L + 1), (P, L + 1)).copy()
-    for i in range(1, L + 1):
-        cur = np.empty((P, L + 1), dtype=np.int64)
-        cur[:, 0] = i
-        for j in range(1, L + 1):
-            cost = (A[:, i - 1] != B[:, j - 1]).astype(np.int64)
-            cur[:, j] = np.minimum(np.minimum(prev[:, j] + 1,
-                                              cur[:, j - 1] + 1),
-                                   prev[:, j - 1] + cost)
-        prev = cur
-    return prev[:, -1]
+def _edit_distances(rows, iu, ju, K):
+    """Edit distances between rows[iu] and rows[ju] for equal-length token
+    rows over {0..K}, by Hyyro's bit-vector form of Myers' algorithm
+    (Nordic J. Computing 2003, after Myers, JACM 1999).
+
+    Column j of the DP table holds D[i, j] for the prefixes rows[iu, :i]
+    and rows[ju, :j]. It is kept as two bit vectors over i, VP and VN, the
+    positions where D[i, j] - D[i - 1, j] is +1 and -1, so one column costs
+    a few word operations per pair instead of L cell updates. A row longer
+    than 64 spans W words, low positions first; the carry of
+    (Eq & VP) + VP and the top bits of the horizontal +1/-1 vectors, which
+    the shift moves up by one position, pass from each word to the next.
+
+    The match masks Eq are built once per distinct row and symbol, as an
+    (n_rows, K + 1, W) table, and gathered per pair at each column.
+    """
+    n_rows, L = rows.shape
+    W = -(-L // 64)
+    peq = np.zeros((n_rows, K + 1, W), dtype=np.uint64)
+    every = np.arange(n_rows)
+    for i in range(L):
+        peq[every, rows[:, i], i // 64] |= _ONE << np.uint64(i % 64)
+    vp = np.full((W, iu.size), ~np.uint64(0))
+    vn = np.zeros((W, iu.size), dtype=np.uint64)
+    dist = np.full(iu.size, L, dtype=np.uint64)     # D[L, 0]
+    last = np.uint64((L - 1) % 64)                  # bit of row L in word W-1
+    for j in range(L):
+        sym = rows[ju, j]
+        # row 0 of the table is D[0, j] = j: its horizontal delta is +1
+        hp_in, hn_in, carry = _ONE, np.uint64(0), False
+        for w in range(W):
+            eq, v, n = peq[iu, sym, w], vp[w], vn[w]
+            x = eq & v
+            s = x + v + carry
+            d0 = (s ^ v) | eq | n
+            hp = n | ~(d0 | v)
+            hn = d0 & v
+            hp_up = (hp << _ONE) | hp_in
+            hn_up = (hn << _ONE) | hn_in
+            vp[w] = hn_up | ~(d0 | hp_up)
+            vn[w] = d0 & hp_up
+            if w + 1 < W:       # what the next word takes in
+                carry = (s < x) | ((s == x) & carry)
+                hp_in, hn_in = hp >> _HIGH, hn >> _HIGH
+            else:               # row L of column j
+                dist += (hp >> last) & _ONE
+                dist -= (hn >> last) & _ONE
+    return dist.astype(np.int64)
 
 
 def diversity(samples):
     """Mean pairwise distance: Euclidean for vectors, edit distance for
-    token sequences (nonnegative integers).
+    token sequences (nonnegative integers; a negative one is an error).
 
     Token rows are compared once per pair of distinct rows, each distance
     weighted by how many pairs of rows it stands for; the distances are
@@ -152,9 +174,12 @@ def diversity(samples):
         iu, ju = np.triu_indices(n, k=1)
         diff = arr[iu] - arr[ju]
         return float(np.sqrt(np.sum(diff * diff, axis=-1)).mean())
-    rows, _, counts = disc.distinct_rows(arr, int(arr.max(initial=0)))
+    if arr.min(initial=0) < 0:
+        raise ConfigError("diversity needs nonnegative tokens")
+    K = int(arr.max(initial=0))
+    rows, _, counts = disc.distinct_rows(arr, K)
     iu, ju = np.triu_indices(rows.shape[0], k=1)
-    dist = _pairwise_levenshtein_same_length(rows[iu], rows[ju])
+    dist = _edit_distances(rows, iu, ju, K)
     return int(np.dot(counts[iu] * counts[ju], dist)) / (n * (n - 1) // 2)
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from edit_distance_reference import levenshtein, pairwise_levenshtein
 from emdiff.continuous import GaussianMixture
 from emdiff.discrete import DiscretePolicy, TabularDenoiser, pretrain
 from emdiff.errors import ConfigError
 from emdiff.estep import EStepConfig, sample_posterior_batch
-from emdiff.metrics import (diversity, elbo_by_path_enumeration,
-                            elbo_exact_tabular, elbo_surrogate, levenshtein,
-                            mode_coverage)
+from emdiff.metrics import (_edit_distances, diversity,
+                            elbo_by_path_enumeration, elbo_exact_tabular,
+                            elbo_surrogate, mode_coverage)
 from emdiff.numkit import RngStream
 from emdiff.rewards import MotifCountReward, Reward
 from emdiff.schedules import make_discrete_schedule
@@ -51,6 +52,26 @@ def test_diversity_identical_and_single_edit():
     assert diversity(seqs) == 0.0
     seqs2 = np.array([[0, 1, 0], [0, 0, 0]])
     assert diversity(seqs2) == 1.0
+
+
+def test_diversity_rejects_negative_tokens():
+    # -1 is one edit away from 1; scored as a token it would alias another
+    with pytest.raises(ConfigError):
+        diversity(np.array([[-1], [1]]))
+
+
+@pytest.mark.parametrize("L", [63, 64, 65, 127, 128, 129, 130])
+def test_edit_distance_carries_across_words(L):
+    alt = np.arange(L) % 2
+    row = np.random.default_rng(L).integers(0, 4, L)
+    rows = np.stack([alt, 1 - alt, np.zeros(L, dtype=np.int64),
+                     np.ones(L, dtype=np.int64), row, np.roll(row, 1)])
+    dist = _edit_distances(rows, np.array([0, 2, 4]), np.array([1, 3, 5]), 3)
+    # (01)^k against (10)^k: drop the first token, append one
+    assert dist[0] == 2
+    assert dist[1] == L
+    assert dist[2] <= 2
+    assert dist[2] == pairwise_levenshtein(rows[4:5], rows[5:6])[0]
 
 
 def test_diversity_euclidean_scale_covariant_and_permutation_invariant():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from edit_distance_reference import levenshtein, pairwise_levenshtein
 from emdiff import metrics
 from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
                                mixture_stats, x0hat_jacobian)
@@ -308,10 +309,28 @@ def test_pairwise_levenshtein_matches_scalar_reference(n, L, K, data):
     rows = pool[data.draw(st.lists(st.integers(0, size - 1), min_size=n,
                                    max_size=n))]
     iu, ju = np.triu_indices(n, k=1)
-    batched = metrics._pairwise_levenshtein_same_length(rows[iu], rows[ju])
-    scalar = [metrics.levenshtein(rows[i], rows[j]) for i, j in zip(iu, ju)]
+    batched = pairwise_levenshtein(rows[iu], rows[ju])
+    scalar = [levenshtein(rows[i], rows[j]) for i, j in zip(iu, ju)]
     np.testing.assert_array_equal(batched, scalar)
     assert metrics.diversity(rows) == np.mean(scalar)
+
+
+@FAST
+@given(st.integers(1, 130), st.integers(1, 4), st.integers(2, 8), st.data())
+def test_edit_distance_kernel_matches_reference_across_words(L, K, n, data):
+    # L crosses the 64-token word edges; rows over {0..K} are drawn from a
+    # pool of 1 to 3 rows, so duplicates appear
+    size = data.draw(st.integers(1, 3))
+    pool = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, K), min_size=L, max_size=L),
+        min_size=size, max_size=size)), dtype=np.int64)
+    rows = pool[data.draw(st.lists(st.integers(0, size - 1), min_size=n,
+                                   max_size=n))]
+    iu, ju = np.triu_indices(n, k=1)
+    dist = metrics._edit_distances(rows, iu, ju, K)
+    np.testing.assert_array_equal(dist, pairwise_levenshtein(rows[iu],
+                                                             rows[ju]))
+    assert metrics.diversity(rows) == np.mean(dist)
 
 
 @st.composite

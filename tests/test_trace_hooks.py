@@ -1,0 +1,54 @@
+"""The benchmark's per-layer tracer reads emdiff's call arguments by name.
+A traced align run on the masked MLP world must keep its diversity hook
+working and must write the same metrics.csv as an untraced run."""
+
+import importlib
+import os
+import sys
+
+# perfbench sits beside src/ at the root of the checkout
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from emdiff import runner  # noqa: E402
+from perfbench import layers  # noqa: E402
+from perfbench import tracer as tr  # noqa: E402
+
+
+def mlp_cfg():
+    return {
+        "world": {
+            "kind": "discrete", "length": 8, "vocab": 4, "alphabet": "ABCD",
+            "schedule": {"steps": 8},
+            "denoiser": {"kind": "mlp", "widths": [16]},
+            "pretrain": {"sequences": ["ABCDABCD", "DCBADCBA", "AABBCCDD",
+                                       "ABCAACBD", "CCCCABCA", "BDACBDAC"],
+                         "epochs": 20, "lr": 0.02, "batch_size": 6},
+        },
+        "reward": {"name": "motif_count", "motif": "ABC"},
+        "estep": {"alpha": 1.0, "gamma": 1.0, "particles": 4},
+        "mstep": {"lr": 0.003, "steps": 1},
+        "epochs": 2, "batch": 8, "seed": 7,
+        "eval": {"samples": 40}, "checkpoint_every": 1,
+    }
+
+
+def read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_diversity_hook_counts_every_pair_of_a_traced_run(tmp_path):
+    cfg = mlp_cfg()
+    runner.run_align(cfg, str(tmp_path / "plain"))
+    modules = [importlib.import_module(f"emdiff.{name}")
+               for name in layers.MODULES]
+    tracer = tr.Tracer(hooks=layers.HOOKS)
+    with tracer.install(modules):
+        runner.run_align(cfg, str(tmp_path / "traced"))
+    assert "metrics.diversity" in tracer.wrapped
+    assert "metrics.diversity" not in tracer.broken
+    n = cfg["eval"]["samples"]
+    assert tracer.counters["metrics.diversity.pairs"] == \
+        (cfg["epochs"] + 1) * n * (n - 1) // 2
+    assert read(tmp_path / "traced" / "metrics.csv") == \
+        read(tmp_path / "plain" / "metrics.csv")
