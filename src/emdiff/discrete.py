@@ -18,6 +18,8 @@ from .optim import Adam
 from .trajectory import TrajectoryBatch
 
 ENUM_CAP = 20_000
+# distinct_rows counts keys when there are at most this many per row
+COUNT_DEDUP_RATIO = 4
 
 
 def mask_token(K):
@@ -36,21 +38,53 @@ def distinct_rows(tokens, K):
 
     Returns (unique, inverse, counts) with unique[inverse] == tokens and
     counts[i] copies of unique[i] among the rows. Rows are keyed by
-    state_index, so unique is ordered by it; where (K+1)^L exceeds the int64
-    range the key would wrap, and the rows are compared position by position
-    instead, ordered lexicographically.
+    state_index, so unique is ordered by it. Where the (K+1)^L keys number
+    at most COUNT_DEDUP_RATIO per row, they are counted into a table over
+    every key (O(n + (K+1)^L), no sort); else they are sorted by np.unique.
+    Where (K+1)^L exceeds the int64 range the key would wrap, and the rows
+    are compared position by position instead, ordered lexicographically.
+    All three return the same arrays with the same dtypes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    L = tokens.shape[-1]
-    if (K + 1) ** L > 2**63:
+    n, L = tokens.shape
+    n_keys = (K + 1) ** L
+    if n_keys > 2**63:
         unique, inverse, counts = np.unique(tokens, axis=0,
                                             return_inverse=True,
                                             return_counts=True)
         return unique, inverse.reshape(-1), counts
-    keys, inverse, counts = np.unique(state_index(tokens, K),
-                                      return_inverse=True, return_counts=True)
+    keys = state_index(tokens, K)
+    if n_keys <= COUNT_DEDUP_RATIO * n:
+        per_key = np.bincount(keys, minlength=n_keys)
+        keys_u = np.flatnonzero(per_key)
+        slot = np.empty(per_key.size, dtype=np.intp)
+        slot[keys_u] = np.arange(keys_u.size)
+        inverse, counts = slot[keys], per_key[keys_u]
+    else:
+        keys_u, inverse, counts = np.unique(keys, return_inverse=True,
+                                            return_counts=True)
     radix = (K + 1) ** np.arange(L, dtype=np.int64)
-    return keys[:, None] // radix % (K + 1), inverse, counts
+    return keys_u[:, None] // radix % (K + 1), inverse, counts
+
+
+def draw_classes(cdf, u):
+    """Inverse-cdf draw over the last axis of cdf: for each uniform u in
+    [0, 1), the first class k with u <= cdf[..., k], the count of classes
+    whose cdf lies below u. u broadcasts against cdf[..., 0].
+
+    The last column of cdf must be 1 (set it; a cumsum may round below), so
+    no u exceeds it and it is never read: classes are counted one column at
+    a time over the first K, with no (..., K+1) comparison array. Repeated
+    cdf values give a zero-mass class, which no u selects.
+    """
+    u = np.asarray(u)
+    shape = np.broadcast_shapes(u.shape, cdf.shape[:-1])
+    out = np.zeros(shape, dtype=int)
+    above = np.empty(shape, dtype=bool)
+    for k in range(cdf.shape[-1] - 1):
+        np.greater(u, cdf[..., k], out=above)
+        out += above
+    return out
 
 
 def enumerate_states(L, K, cap=ENUM_CAP):
@@ -287,8 +321,7 @@ class DiscretePolicy:
                                        t - 1, t)
             cdf = np.cumsum(rows, axis=-1)
             cdf[..., -1] = 1.0
-            u = rng.child(t).uniform(X.shape)
-            choice = (u[..., None] > cdf[inverse]).sum(axis=-1)
+            choice = draw_classes(cdf[inverse], rng.child(t).uniform(X.shape))
             X = np.where(X == mask_token(self.K), choice, X).astype(np.int64)
             states.append(X)
         return TrajectoryBatch(states=np.stack(states, axis=1),

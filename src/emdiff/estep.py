@@ -120,12 +120,17 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
     # uniform, then unmasked positions carry over in place: the (n, M, L)
     # arrays set the step's peak memory, so none is copied
     masked = (X == disc.mask_token(den.K))[:, None, :]
-    states = (rng.uniform((n, M, L))[..., None]
-              > cdf[inverse][:, None]).sum(axis=-1)
+    states = disc.draw_classes(cdf[inverse][:, None], rng.uniform((n, M, L)))
     np.copyto(states, X[:, None, :], where=~masked)
-    pick = (inverse[:, None, None], np.arange(L), states)
-    log_prop = np.sum(prop_logp[pick], axis=-1, where=masked)
-    log_prior = np.sum(log_rows[pick], axis=-1, where=masked)
+    # the log-probabilities of the drawn classes, gathered by flat index into
+    # the (nu, L, K+1) tables: states is offset to that index in place and
+    # back, so no (n, M, L) index array is made. The masked sum adds each
+    # run of masked positions on its own; keep it, it fixes the rounding
+    offset = ((inverse * L)[:, None] + np.arange(L)) * (den.K + 1)
+    states += offset[:, None, :]
+    log_prop = np.sum(np.take(prop_logp, states), axis=-1, where=masked)
+    log_prior = np.sum(np.take(log_rows, states), axis=-1, where=masked)
+    states -= offset[:, None, :]
     r_hat = x0hat_reward(policy, reward, states, t - 1)
     return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
 

@@ -65,21 +65,29 @@ def elbo_by_path_enumeration(policy, tables, alpha):
     """
     T = policy.schedule.T
     start = np.full(policy.L, disc.mask_token(policy.K), dtype=np.int64)
-    log_eta = [None] + [tables.log_eta(t) for t in range(1, T + 1)]
-    log_p = [None] + [policy.logprob(tables.states[tables.src[t]],
-                                     tables.states[tables.dst[t]], t).tolist()
-                      for t in range(1, T + 1)]
+    # the walk visits every path node, so it reads Python floats and ints:
+    # memoryviews of the edge arrays (one np.exp per array) yield them
+    # without a numpy scalar per read, and, unlike .tolist(), without an
+    # object per edge up front, which fragmented a long process's heap
+    dst, log_eta, eta, log_p = [None], [None], [None], [None]
+    for t in range(1, T + 1):
+        le = tables.log_eta(t)
+        dst.append(memoryview(tables.dst[t]))
+        log_eta.append(memoryview(le))
+        eta.append(memoryview(np.exp(le)))
+        log_p.append(memoryview(policy.logprob(
+            tables.states[tables.src[t]], tables.states[tables.dst[t]], t)))
+    reward = memoryview(tables.reward_vec)
 
     def walk(s_ix, t, weight, acc):
         if t == 0:
             return weight * acc
         sl = tables.edges(t, s_ix)
         total = 0.0
-        for u_ix, le, lp in zip(tables.dst[t][sl], log_eta[t][sl],
-                                log_p[t][sl]):
-            term = (lp - le
-                    + (tables.reward_vec[u_ix] / alpha if t == 1 else 0.0))
-            total += walk(int(u_ix), t - 1, weight * np.exp(le), acc + term)
+        for u_ix, le, e, lp in zip(dst[t][sl], log_eta[t][sl], eta[t][sl],
+                                   log_p[t][sl]):
+            term = lp - le + (reward[u_ix] / alpha if t == 1 else 0.0)
+            total += walk(u_ix, t - 1, weight * e, acc + term)
         return total
 
     return walk(tables.state_ix(start), T, 1.0, 0.0)

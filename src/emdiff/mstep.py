@@ -61,8 +61,9 @@ def _row_weights(batch, mcfg, weights):
 
 
 def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
-                   analytic_mean=None):
-    """Total loss, its pieces, and gradients wrt policy parameters.
+                   analytic_mean=None, with_grads=True):
+    """Total loss, its pieces, and gradients wrt policy parameters (None
+    with with_grads=False, which skips the backward pass).
 
     total = nll + kl_coeff * kl, where nll is the weighted negative
     log-likelihood of the batch transitions under the policy and kl the
@@ -73,11 +74,13 @@ def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
     """
     if isinstance(policy, cont.ContinuousPolicy):
         return _continuous_loss(policy, pretrained, batch, mcfg, traj_weights,
-                                analytic_mean)
-    return _discrete_loss(policy, pretrained, batch, mcfg, traj_weights)
+                                analytic_mean, with_grads)
+    return _discrete_loss(policy, pretrained, batch, mcfg, traj_weights,
+                          with_grads)
 
 
-def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base):
+def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base,
+                     with_grads):
     if policy.frozen:
         raise ConfigError("cannot distill into a frozen policy")
     X_t, X_prev, T_arr = batch.transitions()
@@ -91,23 +94,25 @@ def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base):
     delta = sig2[:, None] * raw
     mu = mu_base + delta
     nll = -float(row_w @ cont.gauss_logpdf(X_prev, mu, sig2))
-    up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
 
     delta0 = (sig2[:, None] * pretrained.residual.forward(inputs)
               if not pretrained.frozen else np.zeros_like(delta))
     gap = delta - delta0
     kl_rows = 0.5 * np.sum(gap * gap, axis=-1) / sig2
     kl = float(kl_w @ kl_rows)
+    total = nll + mcfg.kl_coeff * kl
+    if not with_grads:
+        return total, nll, kl, None
+    up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
     if mcfg.kl_coeff > 0:
         up = up + mcfg.kl_coeff * kl_w[:, None] * gap / sig2[:, None]
 
     # chain rule through the sig2 scaling of the residual shift
     grads, _ = policy.residual.backward(cache, up * sig2[:, None])
-    total = nll + mcfg.kl_coeff * kl
     return total, nll, kl, grads
 
 
-def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights):
+def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights, with_grads):
     den = policy.denoiser
     m = disc.mask_token(den.K)
     rows_xt, rows_prev, rows_t = batch.transitions()
@@ -122,26 +127,28 @@ def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights):
                                    rows_t, x0=p0)
     nll = -float(row_w @ logp)
 
-    masked = rows_xt == m
-    emit_pos = masked & (rows_prev != m)
-    onehot = np.zeros_like(p0)
-    np.put_along_axis(onehot, np.where(emit_pos, rows_prev, 0)[..., None],
-                      1.0, axis=-1)
-    dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) * row_w[:, None, None]
-
     # KL(p_theta || p_pre) per masked position, scaled by the emit mass
+    masked = rows_xt == m
     logratio = np.log(p0) - np.log(p0_pre)
     kl_pos = np.sum(p0 * logratio, axis=-1)
     _, emit = disc.stay_emit(policy.schedule, rows_t - 1, rows_t)
     kl_rows = np.where(masked, emit[:, None] * kl_pos, 0.0)
     kl = float(kl_w @ kl_rows.sum(axis=1))
+    total = nll + mcfg.kl_coeff * kl
+    if not with_grads:
+        return total, nll, kl, None
+
+    emit_pos = masked & (rows_prev != m)
+    onehot = np.zeros_like(p0)
+    np.put_along_axis(onehot, np.where(emit_pos, rows_prev, 0)[..., None],
+                      1.0, axis=-1)
+    dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) * row_w[:, None, None]
     if mcfg.kl_coeff > 0:
         dkl = p0 * (logratio - kl_pos[..., None])
         dlogits = dlogits + mcfg.kl_coeff * np.where(
             masked[..., None], (kl_w * emit)[:, None, None] * dkl, 0.0)
 
     grads = den.accumulate_logit_grad(rows_xt, rows_t, dlogits)
-    total = nll + mcfg.kl_coeff * kl
     return total, nll, kl, grads
 
 
@@ -177,6 +184,6 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
         opt.step(grads)
         policy.version += 1
     total, nll, kl, _ = loss_and_grads(policy, pretrained, batch, mcfg,
-                                       traj_weights, base)
+                                       traj_weights, base, with_grads=False)
     return {"loss_before": float(loss_before), "loss_after": float(total),
             "nll": float(nll), "kl": float(kl)}

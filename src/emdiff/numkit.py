@@ -67,12 +67,39 @@ def log_sum_exp(v, axis=None):
     return float(s.reshape(())) if axis is None else np.squeeze(s, axis=axis)
 
 
+# softmax reduces a short axis column by column from this many entries on
+SHORT_AXIS_MIN_SIZE = 2048
+
+
 def softmax(v, axis=-1):
-    """Exponentiate-and-normalize, invariant to adding a constant."""
+    """Exponentiate-and-normalize, invariant to adding a constant.
+
+    numpy reduces an axis shorter than 8 one entry after another, but pays
+    a per-row cost that dominates at a few classes. On inputs of at least
+    SHORT_AXIS_MIN_SIZE entries such an axis is reduced one class at a time
+    instead, as whole-array operations in the same order: the result is
+    bit-identical, and about twice as fast at (320, 8, 4). Below that size
+    the per-class operations cost more than they save.
+    """
     v = np.asarray(v, dtype=float)
-    m = np.max(v, axis=axis, keepdims=True)
+    if v.shape[axis] < 8 and v.size >= SHORT_AXIS_MIN_SIZE:
+        def reduce(op, a):
+            return np.expand_dims(_fold(op, a, axis), axis)
+    else:
+        def reduce(op, a):
+            return op.reduce(a, axis=axis, keepdims=True)
+    m = reduce(np.maximum, v)
     e = np.exp(v - np.where(np.isfinite(m), m, 0.0))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / reduce(np.add, e)
+
+
+def _fold(op, v, axis):
+    """op.reduce(v, axis) as one op per entry along axis, in order."""
+    cols = np.moveaxis(v, axis, 0)
+    acc = cols[0].copy()
+    for col in cols[1:]:
+        op(acc, col, out=acc)
+    return acc
 
 
 def sq_dist(x, centers, scale=1.0):

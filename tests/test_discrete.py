@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import discrete_search_reference as ref
+from emdiff import discrete as disc
 from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
+                             distinct_rows, draw_classes,
                              enumerate_states, forward_mask_sample,
                              mask_token, pretrain, relaxed_x0, state_index,
                              subs_position_probs, transition_logprob,
@@ -87,7 +90,7 @@ def draw(rows, u):
     """Inverse-CDF draw per position, the rule rollout and search use."""
     cdf = np.cumsum(rows, axis=-1)
     cdf[..., -1] = 1.0
-    return (u[..., None] > cdf).sum(axis=-1)
+    return draw_classes(cdf, u)
 
 
 def test_subs_carry_over_is_deterministic(sched4, uniform_denoiser):
@@ -305,3 +308,54 @@ def test_rollout_roundtrip_distribution():
     # per-position marginals near 0.5 (3-sigma binomial)
     rate = (X == 0).mean(axis=0)
     assert np.all(np.abs(rate - 0.5) < 3 * 0.5 / np.sqrt(400))
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_draw_classes_matches_broadcast_reference():
+    rng = np.random.default_rng(0)
+    # zero-mass classes: repeated cdf values, at the start, middle and end
+    w = rng.random((6, 3, 5))
+    w[0, :, 0] = w[1, :, 2] = w[2, :, 3:] = w[3, :, 1:4] = 0.0
+    cdf = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
+    cdf[..., -1] = 1.0
+    u = rng.random((6, 3))
+    # u equal to a cdf entry takes that class (u > cdf is false there)
+    u[4] = cdf[4, :, 1]
+    u[5] = cdf[5, :, 0]
+    u[0, 0] = 0.0
+    _assert_same(draw_classes(cdf, u), ref.draw_classes(cdf, u))
+    assert (draw_classes(cdf, u)[4] == 1).all()
+    # broadcast: one cdf row per state against particles, as in search
+    cdf_b = cdf[:, None]                                  # (6, 1, 3, 5)
+    u_b = rng.random((6, 7, 3))
+    u_b[1, 2] = cdf[1, :, 2]
+    _assert_same(draw_classes(cdf_b, u_b), ref.draw_classes(cdf_b, u_b))
+    # u broadcast against the cdf's leading shape
+    _assert_same(draw_classes(cdf, u[:, :1]), ref.draw_classes(cdf, u[:, :1]))
+    # a single class never moves from 0
+    _assert_same(draw_classes(np.ones((4, 1)), rng.random(4)),
+                 np.zeros(4, dtype=int))
+
+
+@pytest.mark.parametrize("n, L, K", [
+    (64, 4, 3),      # 256 keys, 4 per row: counted
+    (63, 4, 3),      # just past the cutover: sorted
+    (500, 2, 2),     # few keys, many rows: counted
+    (1, 1, 1),       # 2 keys for 1 row: counted
+    (7, 8, 4),       # 390625 keys: sorted
+    (9, 40, 2),      # 3^40 keys, past the int64 range: rows compared
+])
+def test_distinct_rows_matches_unique_reference(n, L, K):
+    rng = np.random.default_rng(n + L + K)
+    # a small pool of rows, so that the batch holds duplicates
+    pool = rng.integers(0, K + 1, (max(1, n // 3), L))
+    tokens = pool[rng.integers(0, pool.shape[0], n)]
+    counted = (K + 1) ** L <= disc.COUNT_DEDUP_RATIO * n
+    assert counted == ((n, L, K) in [(64, 4, 3), (500, 2, 2), (1, 1, 1)])
+    for got, want in zip(distinct_rows(tokens, K),
+                         ref.distinct_rows(tokens, K)):
+        _assert_same(got, want)

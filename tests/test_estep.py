@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import discrete_search_reference as ref
 from emdiff import discrete as disc
+from emdiff import estep
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
                              mask_token, pretrain, state_index)
@@ -246,6 +248,60 @@ def test_distinct_row_evaluation_matches_row_by_row(kind, monkeypatch):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _search_instance(kind, L):
+    """A discrete policy at length L with random parameters, a motif reward
+    and a batch of partially masked states drawn from a small pool."""
+    K = 1 if kind == "tabular" and L == 8 else 3
+    T = 4
+    sched = make_discrete_schedule(T)
+    if kind == "tabular":
+        den = TabularDenoiser(L, K)
+        den.table[:] = 2.0 * RngStream(40 + L).normal(den.table.shape)
+    else:
+        den = MlpDenoiser(L, K, T, widths=(16,), rng=RngStream(40 + L))
+    policy = DiscretePolicy(sched, den)
+    reward = MotifCountReward(np.arange(min(L, 2)) % K, K)
+    gen = RngStream(50 + L).gen
+    pool = np.where(gen.random((12, L)) < 0.6, mask_token(K),
+                    gen.integers(0, K, (12, L)))
+    pool[0] = mask_token(K)
+    X = pool[gen.integers(0, 12, 90)]
+    return policy, reward, X
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("L", [2, 4, 8])
+def test_discrete_search_and_rollout_match_reference_kernels(kind, L,
+                                                            monkeypatch):
+    # the per-class draw, the flat gathers and the counted distinct rows
+    # give what the broadcast draw, the three-array gathers and the sorted
+    # distinct rows give, bit for bit; L = 8 sums the masked log-probs past
+    # numpy's pairwise threshold
+    policy, reward, X = _search_instance(kind, L)
+
+    def outputs():
+        out = []
+        for guidance, t in [(True, 3), (False, 1), (True, 4)]:
+            cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=7,
+                              guidance=guidance)
+            nxt, info = search_step_batch(policy, reward, X, t, cfg,
+                                          RngStream(60 + t))
+            out += [nxt, *(v for f, v in info._asdict().items()
+                           if f != "stats")]
+        return out
+
+    fast = outputs()
+    rollout = policy.rollout(RngStream(70), 150).states
+    monkeypatch.setattr(estep, "_propose_discrete_batch",
+                        ref.propose_discrete_batch)
+    for got, want in zip(fast, outputs()):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    want = ref.rollout(policy, RngStream(70), 150)
+    assert rollout.dtype == want.dtype
+    np.testing.assert_array_equal(rollout, want)
 
 
 def test_importance_weights_uniform_for_constant_reward():

@@ -197,6 +197,24 @@ def test_update_reports_and_lr_zero_is_identity():
     assert policy.version == 3
 
 
+@pytest.mark.parametrize("setup", [cont_setup, disc_setup])
+@pytest.mark.parametrize("kl_coeff", [0.0, 0.3])
+def test_loss_without_grads_is_the_same_loss(setup, kl_coeff):
+    # the loss update() reports after its last step skips the backward
+    # pass; its value and pieces are the full call's, bit for bit
+    policy, pretrained, reward = setup()
+    batch = make_batch(policy, reward, 6)
+    mcfg = MStepConfig(lr=0.02, steps=2, kl_coeff=kl_coeff)
+    report = update(policy, pretrained, batch, mcfg,
+                    Adam(policy.params(), lr=mcfg.lr))
+    total, nll, kl, grads = loss_and_grads(policy, pretrained, batch, mcfg)
+    assert grads is not None
+    assert loss_and_grads(policy, pretrained, batch, mcfg,
+                          with_grads=False) == (total, nll, kl, None)
+    assert (report["loss_after"], report["nll"], report["kl"]) == \
+        (total, nll, kl)
+
+
 def test_update_rejects_stale_snapshot():
     policy, pretrained, reward = disc_setup()
     batch = make_batch(policy, reward, 3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emdiff.numkit import Mlp, RngStream, log_sum_exp, sample_categorical, softmax
+from emdiff.numkit import (SHORT_AXIS_MIN_SIZE, Mlp, RngStream, log_sum_exp,
+                           sample_categorical, softmax)
 
 CHI2_99_DF3 = 11.344866730144373  # 0.01 upper tail, 3 dof
 
@@ -49,6 +50,28 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     v = rng.normal(size=6)
     np.testing.assert_allclose(softmax(v), softmax(v + 7.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, axis, by_class", [
+    ((4,), 0, False), ((32, 8, 4), -1, False), ((16, 3), 0, False),
+    ((320, 8, 4), -1, True), ((4800, 8, 4), -1, True), ((256, 4, 3), 1, True),
+    ((3000, 2, 2), -1, True), ((7, 600), 0, True),
+    ((40, 9, 8), -1, False),                # an axis of 8 is not short
+])
+def test_softmax_bit_identical_to_plain_formula(shape, axis, by_class):
+    # the class-by-class reduction of short axes on large inputs must give
+    # the bits of one max and one sum over the axis; -inf entries included
+    rng = np.random.default_rng(sum(shape))
+    v = rng.normal(size=shape) * 20
+    v[rng.random(shape) < 0.3] = -np.inf
+    np.moveaxis(v, axis, 0)[0] = 1.5        # no row is all -inf
+    m = np.max(v, axis=axis, keepdims=True)
+    e = np.exp(v - np.where(np.isfinite(m), m, 0.0))
+    want = e / np.sum(e, axis=axis, keepdims=True)
+    got = softmax(v, axis=axis)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert (v.size >= SHORT_AXIS_MIN_SIZE and shape[axis] < 8) == by_class
 
 
 def test_softmax_sums_to_one():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emdiff import checkpoint, cli, runner
+from emdiff import oracle as oracle_mod
 from emdiff.checkpoint import load_checkpoint, save_checkpoint
 from emdiff.errors import ConfigError, OracleUnavailableError, RunAbortedError
 
@@ -458,6 +459,21 @@ def test_oracle_runner_passes_and_writes_report(tmp_path):
     report = read(str(tmp_path / "oracle" / "oracle_report.txt")).decode()
     assert "PASS overall" in report
     assert "resampled_tv_at_final_step" in report
+
+
+def test_oracle_report_prints_plain_numbers():
+    # a numpy scalar in a row would print as np.float64(...) in the report
+    res = runner.run_oracle(tiny_cfg(), repeats=200, seeds=1)
+
+    def plain(v):
+        if isinstance(v, dict):
+            return all(plain(x) for x in v.values())
+        if isinstance(v, list):
+            return all(plain(x) for x in v)
+        return type(v) in (int, float)
+
+    assert all(plain(r["value"]) for r in res["rows"]), res["rows"]
+    assert "np." not in oracle_mod.format_report(res["rows"])
 
 
 def test_oracle_rejects_continuous_world(tmp_path):

@@ -1,6 +1,8 @@
 """The benchmark's per-layer tracer reads emdiff's call arguments by name.
 A traced align run on the masked MLP world must keep its diversity hook
-working and must write the same metrics.csv as an untraced run."""
+working and must write the same metrics.csv as an untraced run. Every
+function the benchmark names for its epoch marks, speed samples and busy
+times must still be one the tracer wraps."""
 
 import importlib
 import os
@@ -10,7 +12,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from emdiff import runner  # noqa: E402
-from perfbench import layers  # noqa: E402
+from perfbench import layers, run  # noqa: E402
 from perfbench import tracer as tr  # noqa: E402
 
 
@@ -52,3 +54,22 @@ def test_diversity_hook_counts_every_pair_of_a_traced_run(tmp_path):
         (cfg["epochs"] + 1) * n * (n - 1) // 2
     assert read(tmp_path / "traced" / "metrics.csv") == \
         read(tmp_path / "plain" / "metrics.csv")
+
+
+def test_benchmark_named_functions_still_resolve():
+    # a function renamed or folded away would silently drop out of the
+    # oracle's epochs and speed samples, or leave a busy metric absent
+    names = set()
+    for points in (*run.EPOCH_MARK.values(), *run.SPEED_POINTS.values()):
+        names.update(points)
+    for pattern, under in layers.BUSY.values():
+        names.update(p for p in (pattern, under)
+                     if p is not None and not any(c in p for c in "*?["))
+    assert {"oracle.resampled_next_state_tv",
+            "metrics.elbo_by_path_enumeration"} <= names
+    modules = [importlib.import_module(f"emdiff.{name}")
+               for name in layers.MODULES]
+    tracer = tr.Tracer(only=names)
+    with tracer.install(modules):
+        pass
+    assert sorted(names - tracer.wrapped) == []
