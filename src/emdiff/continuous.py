@@ -206,12 +206,18 @@ class ContinuousPolicy:
         frac = np.broadcast_to(frac, xt.shape[:-1])[..., None]
         return np.concatenate([xt, frac], axis=-1)
 
-    def posterior_mean_from_x0hat(self, xt, t, xhat):
-        """DDPM posterior mean given a precomputed clean-sample estimate."""
+    def analytic_mean(self, xt, t, xhat=None):
+        """DDPM posterior mean with the analytic x0hat plugged in.
+
+        t may be an int or an int array matching xt's leading shape; xhat
+        optionally supplies x0hat(mixture, xt, alpha_bar[t]).
+        """
         xt = np.asarray(xt, dtype=float)
         t_arr = np.asarray(t)
         sc = self.schedule
         ab_t = sc.alpha_bar[t_arr]
+        if xhat is None:
+            xhat = x0hat(self.mixture, xt, ab_t)
         ab_prev = sc.alpha_bar[t_arr - 1]
         beta = sc.beta[t_arr]
         alpha = sc.alpha[t_arr]
@@ -219,24 +225,14 @@ class ContinuousPolicy:
             + (np.sqrt(alpha) * (1.0 - ab_prev))[..., None] * xt
         return num / (1.0 - ab_t)[..., None]
 
-    def analytic_mean(self, xt, t):
-        """DDPM posterior mean with the analytic x0hat plugged in.
-
-        t may be an int or an int array matching xt's leading shape.
-        """
-        xhat = x0hat(self.mixture, xt,
-                     self.schedule.alpha_bar[np.asarray(t)])
-        return self.posterior_mean_from_x0hat(xt, t, xhat)
-
-    def residual_shift(self, xt, t):
-        raw = self.residual.forward(self.residual_input(xt, t))
-        sig2 = self.schedule.sig2[np.asarray(t)]
-        return np.asarray(sig2)[..., None] * raw
-
-    def mean(self, xt, t):
-        mu = self.analytic_mean(xt, t)
+    def mean(self, xt, t, xhat=None):
+        """The reverse mean: analytic_mean(xt, t, xhat) plus, unless frozen,
+        the residual shift sig2_t * residual(x_t, t/T)."""
+        mu = self.analytic_mean(xt, t, xhat)
         if not self.frozen:
-            mu = mu + self.residual_shift(xt, t)
+            sig2 = self.schedule.sig2[np.asarray(t)]
+            raw = self.residual.forward(self.residual_input(xt, t))
+            mu = mu + np.asarray(sig2)[..., None] * raw
         return mu
 
     def logprob(self, xt, xprev, t):
@@ -244,20 +240,20 @@ class ContinuousPolicy:
         return gauss_logpdf(xprev, self.mean(xt, t),
                             self.schedule.sig2[np.asarray(t)])
 
-    def step(self, xt, t, rng):
-        mu = self.mean(xt, t)
-        sig = np.sqrt(self.schedule.sig2[t])
-        return mu + sig * rng.normal(mu.shape)
+    def start(self, rng, n):
+        """n chain start states x_T ~ N(0, I), drawn from rng.child(0)."""
+        if n < 1:
+            raise ConfigError("a chain batch needs n >= 1")
+        return rng.child(0).normal((n, self.dim))
 
     def rollout(self, rng, n):
-        """n independent reverse chains from x_T ~ N(0, I)."""
-        if n < 1:
-            raise ConfigError("rollout needs n >= 1")
-        T = self.schedule.T
-        x = rng.child(0).normal((n, self.dim))
+        """n independent reverse chains from start(rng, n)."""
+        x = self.start(rng, n)
         states = [x]
-        for t in range(T, 0, -1):
-            x = self.step(x, t, rng.child(t))
+        for t in range(self.schedule.T, 0, -1):
+            mu = self.mean(x, t)
+            sig = np.sqrt(self.schedule.sig2[t])
+            x = mu + sig * rng.child(t).normal(mu.shape)
             states.append(x)
         return TrajectoryBatch(states=np.stack(states, axis=1),
                                snapshot=self.version)

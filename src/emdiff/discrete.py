@@ -67,6 +67,12 @@ def distinct_rows(tokens, K):
     return keys_u[:, None] // radix % (K + 1), inverse, counts
 
 
+def one_hot(tokens, width):
+    """Rows of width entries, 1.0 at each token and 0.0 elsewhere:
+    (...) -> (..., width)."""
+    return (np.asarray(tokens)[..., None] == np.arange(width)).astype(float)
+
+
 def draw_classes(cdf, u):
     """Inverse-cdf draw over the last axis of cdf: for each uniform u in
     [0, 1), the first class k with u <= cdf[..., k], the count of classes
@@ -85,6 +91,20 @@ def draw_classes(cdf, u):
         np.greater(u, cdf[..., k], out=above)
         out += above
     return out
+
+
+def draw_successors(X, probs, inverse, u):
+    """Next states of the (n, L) token rows X: masked positions draw from
+    probs[inverse], the (nu, L, K+1) next-state rows of X's distinct rows,
+    and unmasked ones carry over in place. u, (n, L) or (n, M, L) for M
+    candidates per row, holds one uniform per position."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    lead = tuple(range(1, np.ndim(u) - 1))   # the candidate axis, if any
+    states = draw_classes(np.expand_dims(cdf[inverse], lead), u)
+    np.copyto(states, np.expand_dims(X, lead),
+              where=np.expand_dims(X != mask_token(probs.shape[-1] - 1), lead))
+    return states
 
 
 def enumerate_states(L, K, cap=ENUM_CAP):
@@ -169,13 +189,10 @@ class MlpDenoiser:
     def _encode(self, tokens_batch, t_batch):
         tokens_batch = np.atleast_2d(np.asarray(tokens_batch, dtype=np.int64))
         n = tokens_batch.shape[0]
-        onehot = np.zeros((n, self.L, self.K + 1))
-        rows = np.arange(n)[:, None]
-        cols = np.arange(self.L)[None, :]
-        onehot[rows, cols, tokens_batch] = 1.0
+        onehot = one_hot(tokens_batch, self.K + 1).reshape(n, -1)
         frac = np.broadcast_to(np.asarray(t_batch, dtype=float),
                                (n,))[:, None] / self.T
-        return np.concatenate([onehot.reshape(n, -1), frac], axis=1)
+        return np.concatenate([onehot, frac], axis=1)
 
     def logits(self, tokens_batch, t_batch):
         single = np.asarray(tokens_batch).ndim == 1
@@ -202,15 +219,14 @@ def x0_probs(denoiser, tokens, t):
     probs = softmax(logits, axis=-1)
     K = denoiser.K
     observed = tokens != mask_token(K)
-    onehot = np.zeros(probs.shape)
-    np.put_along_axis(onehot, np.where(observed, tokens, 0)[..., None], 1.0,
-                      axis=-1)
+    onehot = one_hot(np.where(observed, tokens, 0), K)
     return np.where(observed[..., None], onehot, probs)
 
 
-def relaxed_x0(denoiser, tokens, t):
-    """x0 distribution padded with a zero mask column, (..., L, K+1)."""
-    p = x0_probs(denoiser, tokens, t)
+def relaxed_x0(denoiser, tokens, t, x0=None):
+    """x0 distribution padded with a zero mask column, (..., L, K+1). x0
+    optionally supplies x0_probs(denoiser, tokens, t)."""
+    p = x0_probs(denoiser, tokens, t) if x0 is None else x0
     pad = np.zeros(p.shape[:-1] + (1,))
     return np.concatenate([p, pad], axis=-1)
 
@@ -248,9 +264,7 @@ def subs_position_probs(schedule, denoiser, tokens, s, t, x0=None):
     rows = np.concatenate([emit * probs,
                            np.full(probs.shape[:-1] + (1,), stay)], axis=-1)
     observed = tokens != mask_token(K)
-    onehot = np.zeros(rows.shape)
-    np.put_along_axis(onehot, np.where(observed, tokens, 0)[..., None], 1.0,
-                      axis=-1)
+    onehot = one_hot(np.where(observed, tokens, 0), K + 1)
     return np.where(observed[..., None], onehot, rows)
 
 
@@ -307,22 +321,23 @@ class DiscretePolicy:
     def logprob(self, xt, xprev, t):
         return transition_logprob(self.schedule, self.denoiser, xt, xprev, t)
 
-    def rollout(self, rng, n):
-        """n reverse chains from the all-mask state, vectorized across n;
-        each step's substitution rows are computed once per distinct row."""
+    def start(self, rng, n):
+        """n chain start states, each all masks (rng is not read)."""
         if n < 1:
-            raise ConfigError("rollout needs n >= 1")
-        T = self.schedule.T
-        X = np.full((n, self.L), mask_token(self.K), dtype=np.int64)
+            raise ConfigError("a chain batch needs n >= 1")
+        return np.full((n, self.L), mask_token(self.K), dtype=np.int64)
+
+    def rollout(self, rng, n):
+        """n reverse chains from start(rng, n), vectorized across n; each
+        step's substitution rows are computed once per distinct row."""
+        X = self.start(rng, n)
         states = [X]
-        for t in range(T, 0, -1):
+        for t in range(self.schedule.T, 0, -1):
             U, inverse, _ = distinct_rows(X, self.K)
             rows = subs_position_probs(self.schedule, self.denoiser, U,
                                        t - 1, t)
-            cdf = np.cumsum(rows, axis=-1)
-            cdf[..., -1] = 1.0
-            choice = draw_classes(cdf[inverse], rng.child(t).uniform(X.shape))
-            X = np.where(X == mask_token(self.K), choice, X).astype(np.int64)
+            X = draw_successors(X, rows, inverse,
+                                rng.child(t).uniform(X.shape))
             states.append(X)
         return TrajectoryBatch(states=np.stack(states, axis=1),
                                snapshot=self.version)
@@ -387,10 +402,7 @@ def _ce_rows(denoiser, xt_batch, t_batch, x0_batch, row_weights):
     logits = denoiser.logits(xt_batch, t_batch)
     probs = softmax(logits, axis=-1)
     masked = xt_batch == mask_token(denoiser.K)
-    onehot = np.zeros_like(probs)
-    rows = np.arange(xt_batch.shape[0])[:, None]
-    cols = np.arange(denoiser.L)[None, :]
-    onehot[rows, cols, x0_batch] = 1.0
+    onehot = one_hot(x0_batch, denoiser.K)
     logp = np.log(np.take_along_axis(probs, x0_batch[..., None], axis=-1))[..., 0]
     w = row_weights[:, None] * masked
     loss = -np.sum(w * logp)

@@ -66,9 +66,7 @@ def _propose_continuous_batch(policy, reward, X, t, cfg, rng, stats):
     sig2 = sc.sig2[t]
     if stats is None:
         stats = cont.mixture_stats(mix, X, sc.alpha_bar[t])
-    mu_prior = policy.posterior_mean_from_x0hat(X, t, stats[1])
-    if not policy.frozen:
-        mu_prior = mu_prior + policy.residual_shift(X, t)
+    mu_prior = policy.mean(X, t, stats[1])
     mu_prop = mu_prior
     if cfg.guidance:
         cfg.validate_against(reward)
@@ -102,8 +100,7 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
         log_rows = np.log(rows)
     if cfg.guidance:
         cfg.validate_against(reward)
-        relaxed = np.concatenate([p0, np.zeros((nu, L, 1))], axis=-1)
-        g = reward.relaxed_grad(relaxed)
+        g = reward.relaxed_grad(disc.relaxed_x0(den, U, t, x0=p0))
         # per-position logit shifts over the K+1 classes; the mask class
         # takes the denoiser-averaged token gradient, since keeping the mask
         # keeps the denoiser's prediction in play
@@ -114,18 +111,13 @@ def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
         prop_logp = prop_logits - log_sum_exp(prop_logits, axis=-1)[..., None]
     else:
         prop_logp = log_rows
-    cdf = np.cumsum(np.exp(prop_logp), axis=-1)
-    cdf[..., -1] = 1.0
-    # each candidate position takes the first class whose cdf reaches its
-    # uniform, then unmasked positions carry over in place: the (n, M, L)
-    # arrays set the step's peak memory, so none is copied
-    masked = (X == disc.mask_token(den.K))[:, None, :]
-    states = disc.draw_classes(cdf[inverse][:, None], rng.uniform((n, M, L)))
-    np.copyto(states, X[:, None, :], where=~masked)
+    states = disc.draw_successors(X, np.exp(prop_logp), inverse,
+                                  rng.uniform((n, M, L)))
     # the log-probabilities of the drawn classes, gathered by flat index into
     # the (nu, L, K+1) tables: states is offset to that index in place and
     # back, so no (n, M, L) index array is made. The masked sum adds each
     # run of masked positions on its own; keep it, it fixes the rounding
+    masked = (X == disc.mask_token(den.K))[:, None, :]
     offset = ((inverse * L)[:, None] + np.arange(L)) * (den.K + 1)
     states += offset[:, None, :]
     log_prop = np.sum(np.take(prop_logp, states), axis=-1, where=masked)
@@ -178,19 +170,15 @@ def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
 def sample_posterior_batch(policy, reward, cfg, rng, n):
     """Vectorized search: n trajectories marched through t = T..1 at once.
 
-    rng.child(0) draws the continuous start states and rng.child(t) drives
-    step t, so the result depends only on (rng, n), not on how the caller
-    schedules work.
+    The chains start at policy.start(rng, n), as rollouts do, and
+    rng.child(t) drives step t, so the result depends only on (rng, n), not
+    on how the caller schedules work.
     """
-    T = policy.schedule.T
-    if isinstance(policy, cont.ContinuousPolicy):
-        X = rng.child(0).normal((n, policy.dim))
-    else:
-        X = np.full((n, policy.L), disc.mask_token(policy.K), dtype=np.int64)
+    X = policy.start(rng, n)
     states = [X]
     infos = []
     stats = None
-    for t in range(T, 0, -1):
+    for t in range(policy.schedule.T, 0, -1):
         X, info = search_step_batch(policy, reward, X, t, cfg, rng.child(t),
                                     stats)
         stats = info.stats

@@ -139,9 +139,7 @@ def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights, with_grads):
         return total, nll, kl, None
 
     emit_pos = masked & (rows_prev != m)
-    onehot = np.zeros_like(p0)
-    np.put_along_axis(onehot, np.where(emit_pos, rows_prev, 0)[..., None],
-                      1.0, axis=-1)
+    onehot = disc.one_hot(np.where(emit_pos, rows_prev, 0), den.K)
     dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) * row_w[:, None, None]
     if mcfg.kl_coeff > 0:
         dkl = p0 * (logratio - kl_pos[..., None])

@@ -67,24 +67,25 @@ def log_sum_exp(v, axis=None):
     return float(s.reshape(())) if axis is None else np.squeeze(s, axis=axis)
 
 
-# softmax reduces a short axis column by column from this many entries on
+# softmax reduces a short last axis column by column from this many entries on
 SHORT_AXIS_MIN_SIZE = 2048
 
 
 def softmax(v, axis=-1):
     """Exponentiate-and-normalize, invariant to adding a constant.
 
-    numpy reduces an axis shorter than 8 one entry after another, but pays
-    a per-row cost that dominates at a few classes. On inputs of at least
-    SHORT_AXIS_MIN_SIZE entries such an axis is reduced one class at a time
-    instead, as whole-array operations in the same order: the result is
-    bit-identical, and about twice as fast at (320, 8, 4). Below that size
-    the per-class operations cost more than they save.
+    numpy reduces a last axis shorter than 8 one entry after another, with
+    a per-row cost that dominates at a few classes. From SHORT_AXIS_MIN_SIZE
+    entries on, such an axis is reduced one class at a time instead, as
+    whole-array operations in the same order: bit-identical, and about twice
+    as fast at (320, 8, 4). Smaller inputs, and other axes, which numpy
+    reduces by whole rows, keep numpy's reduction.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[axis] < 8 and v.size >= SHORT_AXIS_MIN_SIZE:
+    if (v.shape[-1] < 8 and v.size >= SHORT_AXIS_MIN_SIZE
+            and axis in (-1, v.ndim - 1)):
         def reduce(op, a):
-            return np.expand_dims(_fold(op, a, axis), axis)
+            return _fold(op, a)[..., None]
     else:
         def reduce(op, a):
             return op.reduce(a, axis=axis, keepdims=True)
@@ -93,12 +94,11 @@ def softmax(v, axis=-1):
     return e / reduce(np.add, e)
 
 
-def _fold(op, v, axis):
-    """op.reduce(v, axis) as one op per entry along axis, in order."""
-    cols = np.moveaxis(v, axis, 0)
-    acc = cols[0].copy()
-    for col in cols[1:]:
-        op(acc, col, out=acc)
+def _fold(op, v):
+    """op.reduce(v, axis=-1) as one op per entry along that axis, in order."""
+    acc = v[..., 0].copy()
+    for k in range(1, v.shape[-1]):
+        op(acc, v[..., k], out=acc)
     return acc
 
 

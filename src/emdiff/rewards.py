@@ -15,14 +15,10 @@ import numpy as np
 from .errors import ConfigError
 from .numkit import float_array, sq_dist
 
-CONTINUOUS = "continuous"
-DISCRETE = "discrete"
-
 
 class Reward:
-    def __init__(self, name, domain, differentiable=True):
+    def __init__(self, name, differentiable=True):
         self.name = name
-        self.domain = domain
         self.differentiable = differentiable
 
     def value(self, x0):
@@ -36,6 +32,13 @@ class Reward:
     def _grad(self, x0):
         raise NotImplementedError
 
+    def relaxed_grad(self, probs):
+        """Gradient of relaxed_value wrt the (..., L, K+1) probability
+        rows (discrete rewards)."""
+        if not self.differentiable:
+            raise ConfigError(f"reward {self.name!r} is black-box: no gradient")
+        return self._relaxed_grad(probs)
+
     def as_black_box(self):
         import copy
 
@@ -48,7 +51,7 @@ class LinearReward(Reward):
     """r(x) = c . x"""
 
     def __init__(self, coeffs, differentiable=True):
-        super().__init__("linear", CONTINUOUS, differentiable)
+        super().__init__("linear", differentiable)
         self.coeffs = float_array(coeffs, 1, "linear coeffs")
         self.dim = self.coeffs.size
 
@@ -66,7 +69,7 @@ class NegSquaredDistReward(Reward):
     """r(x) = -|x - g|^2, maximized at the target g."""
 
     def __init__(self, target, differentiable=True):
-        super().__init__("neg_sq_dist", CONTINUOUS, differentiable)
+        super().__init__("neg_sq_dist", differentiable)
         self.target = float_array(target, 1, "neg_sq_dist target")
         self.dim = self.target.size
 
@@ -82,13 +85,15 @@ class ModePreferenceReward(Reward):
     """r(x) = sum_k a_k exp(-|x - mu_k|^2 / (2 tau^2))"""
 
     def __init__(self, amps, centers, tau, differentiable=True):
-        super().__init__("mode_preference", CONTINUOUS, differentiable)
+        super().__init__("mode_preference", differentiable)
         self.amps = float_array(amps, 1, "mode_preference amps")
         self.centers = float_array(centers, 2, "mode_preference centers")
         self.tau = float(tau)
         self.dim = self.centers.shape[1]
         if self.centers.shape[0] != self.amps.shape[0]:
             raise ConfigError("mode_preference: amps and centers disagree")
+        if not self.tau > 0:
+            raise ConfigError("mode_preference: tau must be > 0")
 
     def _bumps(self, x0):
         """exp(-|x - mu_k|^2 / (2 tau^2)), component-major: (..., d) ->
@@ -114,9 +119,8 @@ class MotifCountReward(Reward):
     """
 
     def __init__(self, motif, vocab, differentiable=True):
-        super().__init__("motif_count", DISCRETE, differentiable)
+        super().__init__("motif_count", differentiable)
         self.motif = np.asarray(motif, dtype=np.int64)
-        self.vocab = int(vocab)
         if self.motif.size == 0 or np.any(self.motif < 0) or np.any(self.motif >= vocab):
             raise ConfigError("motif tokens must lie in the vocabulary")
 
@@ -145,9 +149,7 @@ class MotifCountReward(Reward):
             total = total + term
         return total
 
-    def relaxed_grad(self, probs):
-        if not self.differentiable:
-            raise ConfigError(f"reward {self.name!r} is black-box: no gradient")
+    def _relaxed_grad(self, probs):
         p = np.asarray(probs, dtype=float)
         g = np.zeros_like(p)
         m = self.motif.size
@@ -168,9 +170,8 @@ class TokenCountReward(Reward):
     """Number of positions equal to a designated token."""
 
     def __init__(self, token, vocab, differentiable=True):
-        super().__init__("token_count", DISCRETE, differentiable)
+        super().__init__("token_count", differentiable)
         self.token = int(token)
-        self.vocab = int(vocab)
         if not 0 <= self.token < vocab:
             raise ConfigError("token outside vocabulary")
 
@@ -181,9 +182,7 @@ class TokenCountReward(Reward):
     def relaxed_value(self, probs):
         return np.sum(np.asarray(probs, dtype=float)[..., :, self.token], axis=-1)
 
-    def relaxed_grad(self, probs):
-        if not self.differentiable:
-            raise ConfigError(f"reward {self.name!r} is black-box: no gradient")
+    def _relaxed_grad(self, probs):
         g = np.zeros_like(np.asarray(probs, dtype=float))
         g[..., :, self.token] = 1.0
         return g

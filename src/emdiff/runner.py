@@ -6,6 +6,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import math
 import os
 import re
 from collections import namedtuple
@@ -102,7 +103,7 @@ _FIELDS = [
     Field("mstep.kl_weighting", str, "uniform"),
     Field("eval", dict, {}),
     Field("eval.samples", int, 256, least=2),
-    Field("eval.mode_radius_scale", float, 2.0),
+    Field("eval.mode_radius_scale", float, 2.0, least=0),
     Field("epochs", int, 50, least=0),
     Field("batch", int, 32, least=1),
     Field("seed", int, 0),
@@ -118,7 +119,9 @@ def _accepts(typ, v):
                    for t in typ)
     if isinstance(v, bool):
         return typ is bool
-    return isinstance(v, (int, float) if typ is float else typ)
+    if typ is float:  # JSON's NaN and Infinity parse, but fit no setting
+        return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+    return isinstance(v, typ)
 
 
 def resolve_config(raw):
@@ -375,7 +378,7 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
         ckpt.restore_arrays(pretrained.params(), payload["pretrained_params"])
         opt.load_state_dict(payload["opt"])
         policy.version = payload["policy_version"]
-        start_epoch = payload["epoch"]
+        start_epoch = payload["epoch"] + 1
         fh = open(csv_path, "a")
     else:
         fh = open(csv_path, "w")
@@ -383,32 +386,27 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
     records = []
     terminals = None
     try:
-        if start_epoch == 0:
-            rec, terminals = evaluate_policy(setup, policy, 0)
-            records.append(rec)
-            fh.write(_csv_row(rec))
-            fh.flush()
-            _save_ckpt(os.path.join(out_dir, "ckpt_epoch0000.json"),
-                       setup, policy, opt, 0, variant)
         searcher = pretrained if variant == "search_and_distill" else policy
-        for e in range(start_epoch + 1, cfg["epochs"] + 1):
-            if variant == "reweight":
-                batch = policy.rollout(setup.root.child(_ESTEP, e),
-                                       cfg["batch"])
-                rewards = np.atleast_1d(
-                    reward.value(batch.terminals)).astype(float)
-                weights = softmax(rewards / setup.ecfg.alpha)
-            else:
-                # the key's trailing 0 keeps batches of up to 32 rows on the
-                # random numbers of earlier releases, which searched in
-                # chunks of 32
-                batch = sample_posterior_batch(
-                    searcher, reward, setup.ecfg,
-                    setup.root.child(_ESTEP, e, 0), cfg["batch"])
-                weights = None
-            report = mstep_mod.update(policy, pretrained, batch, mcfg, opt,
-                                      traj_weights=weights,
-                                      expected_snapshot=searcher.version)
+        for e in range(start_epoch, cfg["epochs"] + 1):
+            batch = report = None  # epoch 0 evaluates the pretrained policy
+            if e > 0:
+                if variant == "reweight":
+                    batch = policy.rollout(setup.root.child(_ESTEP, e),
+                                           cfg["batch"])
+                    rewards = np.atleast_1d(
+                        reward.value(batch.terminals)).astype(float)
+                    weights = softmax(rewards / setup.ecfg.alpha)
+                else:
+                    # the key's trailing 0 keeps batches of up to 32 rows on
+                    # the random numbers of earlier releases, which searched
+                    # in chunks of 32
+                    batch = sample_posterior_batch(
+                        searcher, reward, setup.ecfg,
+                        setup.root.child(_ESTEP, e, 0), cfg["batch"])
+                    weights = None
+                report = mstep_mod.update(policy, pretrained, batch, mcfg,
+                                          opt, traj_weights=weights,
+                                          expected_snapshot=searcher.version)
             rec, terminals = evaluate_policy(setup, policy, e, batch, report)
             records.append(rec)
             fh.write(_csv_row(rec))
@@ -425,7 +423,7 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
     if terminals is None:
         # resumed from the final checkpoint: no epoch ran, so the samples
         # come from the restored policy under that epoch's eval key
-        terminals = policy.rollout(setup.root.child(_EVAL, start_epoch),
+        terminals = policy.rollout(setup.root.child(_EVAL, payload["epoch"]),
                                    cfg["eval"]["samples"]).terminals
     _dump_samples(os.path.join(out_dir, "samples.txt"), terminals,
                   setup.alphabet)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emdiff import numkit
 from emdiff.numkit import (SHORT_AXIS_MIN_SIZE, Mlp, RngStream, log_sum_exp,
                            sample_categorical, softmax)
 
@@ -54,13 +55,17 @@ def test_softmax_shift_invariance():
 
 @pytest.mark.parametrize("shape, axis, by_class", [
     ((4,), 0, False), ((32, 8, 4), -1, False), ((16, 3), 0, False),
-    ((320, 8, 4), -1, True), ((4800, 8, 4), -1, True), ((256, 4, 3), 1, True),
-    ((3000, 2, 2), -1, True), ((7, 600), 0, True),
+    ((320, 8, 4), -1, True), ((4800, 8, 4), -1, True), ((256, 4, 3), 1, False),
+    ((3000, 2, 2), -1, True), ((7, 600), 0, False),
     ((40, 9, 8), -1, False),                # an axis of 8 is not short
+    ((4, 768), 0, False), ((4, 4800), 0, False),  # mixture_stats' axis
+    ((600, 4), 1, True),
 ])
-def test_softmax_bit_identical_to_plain_formula(shape, axis, by_class):
-    # the class-by-class reduction of short axes on large inputs must give
-    # the bits of one max and one sum over the axis; -inf entries included
+def test_softmax_bit_identical_to_plain_formula(shape, axis, by_class,
+                                                monkeypatch):
+    # the class-by-class reduction of short last axes on large inputs must
+    # give the bits of one max and one sum over the axis, and so must numpy's
+    # reduction of the other axes; -inf entries included
     rng = np.random.default_rng(sum(shape))
     v = rng.normal(size=shape) * 20
     v[rng.random(shape) < 0.3] = -np.inf
@@ -68,10 +73,15 @@ def test_softmax_bit_identical_to_plain_formula(shape, axis, by_class):
     m = np.max(v, axis=axis, keepdims=True)
     e = np.exp(v - np.where(np.isfinite(m), m, 0.0))
     want = e / np.sum(e, axis=axis, keepdims=True)
+    folds, fold = [], numkit._fold
+    monkeypatch.setattr(numkit, "_fold",
+                        lambda op, a: folds.append(op) or fold(op, a))
     got = softmax(v, axis=axis)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    assert (v.size >= SHORT_AXIS_MIN_SIZE and shape[axis] < 8) == by_class
+    assert bool(folds) == by_class
+    assert (v.size >= SHORT_AXIS_MIN_SIZE and shape[axis] < 8
+            and axis in (-1, len(shape) - 1)) == by_class
 
 
 def test_softmax_sums_to_one():

@@ -156,6 +156,17 @@ BAD_CONFIGS = [
     # a token string of more than one character, a mixture weight of zero
     (tiny_cfg, "reward", {"name": "token_count", "token": "AB"}),
     (cont_cfg, "world.mixture.weights", [1.0, 0.0]),
+    # JSON's NaN and Infinity, a non-positive bump width, a negative radius
+    (cont_cfg, "mstep.kl_coeff", float("nan")),
+    (cont_cfg, "mstep.kl_coeff", float("inf")),
+    (tiny_cfg, "mstep.lr", float("inf")),
+    (cont_cfg, "reward.amps", [1.0, float("nan")]),
+    (cont_cfg, "world.mixture.means", [[3, 0], [float("nan"), 0]]),
+    (cont_cfg, "reward.centers", [[3, 0], [float("inf"), 0]]),
+    (cont_cfg, "reward.tau", 0),
+    (cont_cfg, "reward.tau", -1),
+    (cont_cfg, "eval.mode_radius_scale", -1),
+    (cont_cfg, "eval.mode_radius_scale", float("nan")),
 ]
 
 
@@ -235,23 +246,24 @@ def test_full_run_determinism(cfg_fn, tmp_path):
         read(str(tmp_path / "b" / "samples.txt"))
 
 
+@pytest.mark.parametrize("stop", [0, 2])
 @pytest.mark.parametrize("cfg_fn", [tiny_cfg, cont_cfg])
-def test_checkpoint_resume_bit_exact(cfg_fn, tmp_path):
+def test_checkpoint_resume_bit_exact(cfg_fn, stop, tmp_path):
     full_dir = str(tmp_path / "full")
     runner.run_align(cfg_fn(), full_dir)
-    # interrupted run: stop at the epoch-2 checkpoint, then resume in a copy
+    # interrupted run: stop at the epoch-`stop` checkpoint, then resume in a
+    # copy; stop 0 is the path of `emdiff pretrain` followed by a resume
     part_dir = str(tmp_path / "part")
-    cfg_short = cfg_fn()
-    cfg_short["epochs"] = 2
-    runner.run_align(cfg_short, part_dir)
+    runner.run_align(cfg_fn(epochs=stop), part_dir)
     resume_dir = str(tmp_path / "resumed")
     shutil.copytree(part_dir, resume_dir)
-    # drop rows after epoch 2 is exactly what the short run wrote; now
-    # continue with the full config from the saved checkpoint
-    runner.run_align(cfg_fn(), resume_dir,
-                     resume=os.path.join(resume_dir, "ckpt_epoch0002.json"))
-    assert read(os.path.join(full_dir, "metrics.csv")) == \
-        read(os.path.join(resume_dir, "metrics.csv"))
+    # drop rows after the stop epoch is exactly what the short run wrote;
+    # now continue with the full config from the saved checkpoint
+    runner.run_align(cfg_fn(), resume_dir, resume=os.path.join(
+        resume_dir, f"ckpt_epoch{stop:04d}.json"))
+    for name in ("metrics.csv", "samples.txt"):
+        assert read(os.path.join(full_dir, name)) == \
+            read(os.path.join(resume_dir, name))
 
 
 def test_resume_of_finished_run_drops_later_rows(tmp_path):

@@ -2,7 +2,8 @@
 A traced align run on the masked MLP world must keep its diversity hook
 working and must write the same metrics.csv as an untraced run. Every
 function the benchmark names for its epoch marks, speed samples and busy
-times must still be one the tracer wraps."""
+times, and some function matching each wildcard pattern it names, must
+still be one the tracer wraps."""
 
 import importlib
 import os
@@ -73,3 +74,12 @@ def test_benchmark_named_functions_still_resolve():
     with tracer.install(modules):
         pass
     assert sorted(names - tracer.wrapped) == []
+    # the wildcard patterns skipped above: moving rollout off the policy
+    # classes, say, would blank eval.rollout
+    tracer = tr.Tracer()
+    with tracer.install(modules):
+        pass
+    patterns = ("*Policy.rollout", "numkit.Mlp*", "rewards.*.value",
+                "estep.s*_batch")
+    assert [p for p in patterns
+            if not tr.wrapped_any(tracer.wrapped, p)] == []
