@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, OracleUnavailableError, UnreachableTransitionError
-from .numkit import Mlp, softmax
+from .numkit import Mlp, normalized_weights, softmax
 from .optim import Adam
 from .trajectory import TrajectoryBatch
 
@@ -157,13 +157,17 @@ class TabularDenoiser:
         return other
 
     def logits(self, tokens_batch, t_batch=None):
-        idx = state_index(tokens_batch, self.K)
-        return self.table[idx]
+        return self.forward_cache(tokens_batch, t_batch)[0]
 
-    def accumulate_logit_grad(self, tokens_batch, t_batch, dlogits):
+    def forward_cache(self, tokens, t=None):
+        """Logits of the rows and, for backward(), their table indices."""
+        idx = state_index(tokens, self.K)
+        return self.table[idx], idx
+
+    def backward(self, cache, dlogits):
+        """Gradient of sum(dlogits * logits) wrt the table, as [grad]."""
         grad = np.zeros_like(self.table)
-        idx = state_index(tokens_batch, self.K)
-        np.add.at(grad, idx, dlogits)
+        np.add.at(grad, cache, dlogits)
         return [grad]
 
 
@@ -195,15 +199,17 @@ class MlpDenoiser:
         return np.concatenate([onehot, frac], axis=1)
 
     def logits(self, tokens_batch, t_batch):
-        single = np.asarray(tokens_batch).ndim == 1
-        x = self._encode(tokens_batch, t_batch)
-        out = self.net.forward(x).reshape(-1, self.L, self.K)
-        return out[0] if single else out
+        return self.forward_cache(tokens_batch, t_batch)[0]
 
-    def accumulate_logit_grad(self, tokens_batch, t_batch, dlogits):
-        x = self._encode(tokens_batch, t_batch)
-        _, cache = self.net.forward_cache(x)
-        up = np.asarray(dlogits, dtype=float).reshape(x.shape[0], -1)
+    def forward_cache(self, tokens, t):
+        """(..., L, K) logits of rows (..., L) and the cache for backward()."""
+        out, cache = self.net.forward_cache(self._encode(tokens, t))
+        shape = np.shape(tokens)[:-1] + (self.L, self.K)
+        return out.reshape(shape), cache
+
+    def backward(self, cache, dlogits):
+        """Gradients of sum(dlogits * logits) wrt params(), in its order."""
+        up = np.asarray(dlogits, dtype=float).reshape(-1, self.L * self.K)
         grads, _ = self.net.backward(cache, up)
         return grads
 
@@ -347,19 +353,6 @@ def _mask_patterns(L):
     return np.array(list(itertools.product([False, True], repeat=L)))
 
 
-def pretrain_weights(weights, n):
-    """Normalized weights of n pretraining sequences, uniform if None. Given
-    weights need one finite nonnegative value per sequence, positive sum."""
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if (w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0)
-            or not w.sum() > 0):
-        raise ConfigError("pretraining weights need one finite nonnegative "
-                          "value per sequence with a positive sum")
-    return w / w.sum()
-
-
 def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
              rng=None, batch_size=None):
     """Fit the denoiser by the schedule-weighted masked cross-entropy.
@@ -375,7 +368,7 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
     if sequences.size == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
     n, L = sequences.shape
-    weights = pretrain_weights(weights, n)
+    weights = normalized_weights(weights, n, "pretraining weights")
     K = denoiser.K
     T = schedule.T
     exact = denoiser.kind == "tabular" and 2**L <= 1024
@@ -398,8 +391,8 @@ def pretrain(denoiser, schedule, sequences, weights=None, epochs=200, lr=0.05,
 
 
 def _ce_rows(denoiser, xt_batch, t_batch, x0_batch, row_weights):
-    """Weighted cross-entropy on masked positions, with logit gradients."""
-    logits = denoiser.logits(xt_batch, t_batch)
+    """Weighted cross-entropy on masked positions, with its gradients."""
+    logits, cache = denoiser.forward_cache(xt_batch, t_batch)
     probs = softmax(logits, axis=-1)
     masked = xt_batch == mask_token(denoiser.K)
     onehot = one_hot(x0_batch, denoiser.K)
@@ -407,8 +400,7 @@ def _ce_rows(denoiser, xt_batch, t_batch, x0_batch, row_weights):
     w = row_weights[:, None] * masked
     loss = -np.sum(w * logp)
     dlogits = w[..., None] * (probs - onehot)
-    grads = denoiser.accumulate_logit_grad(xt_batch, t_batch, dlogits)
-    return loss, grads
+    return loss, denoiser.backward(cache, dlogits)
 
 
 def _exact_pretrain_rows(denoiser, schedule, sequences, weights):

@@ -18,7 +18,7 @@ class ElboRecord:
     """One metrics.csv row, its fields in column order."""
     epoch: int
     elbo: float
-    estimator: str       # "exact-tabular" | "surrogate-is" | "none"
+    elbo_kind: str       # "exact-tabular" | "surrogate-is" | "none"
     mean_reward: float
     reward_std: float
     diversity: float
@@ -93,21 +93,19 @@ def elbo_by_path_enumeration(policy, tables, alpha):
     return walk(tables.state_ix(start), T, 1.0, 0.0)
 
 
-def elbo_surrogate(policy, batch, alpha, gamma):
+def elbo_surrogate(batch, log_p, alpha, gamma):
     """Importance-sampled ELBO from a posterior-search batch.
 
-    Per step, log eta* is approximated by the proposal log density plus the
-    self-normalized weight correction log(w / mean w); log p_theta is
-    re-evaluated under `policy` (vectorized over the whole batch), so the
-    batch can score an updated model.
+    log_p is log p_theta of batch.transitions() under the model scored, as
+    mstep.update reports it for the updated policy. Per step, log eta* is
+    approximated by the proposal log density plus the self-normalized
+    weight correction log(w / mean w).
     """
     if batch.n < 1 or not batch.searched:
         raise ConfigError("surrogate ELBO needs a non-empty search batch")
     n, T = batch.n, batch.T
-    X_t, X_prev, t_rows = batch.transitions()
-    log_p = policy.logprob(X_t, X_prev, t_rows)
     log_eta = batch.log_proposal + batch.log_weight_corr
-    disc_w = gamma ** (T - t_rows.reshape(n, T))
+    disc_w = gamma ** np.arange(T)      # column i is timestep T - i
     per_traj = np.sum(disc_w * (log_p.reshape(n, T) - log_eta), axis=1) \
         + gamma ** (T - 1) * batch.rewards / alpha
     return float(per_traj.mean())
@@ -191,12 +189,11 @@ def diversity(samples):
     return int(np.dot(counts[iu] * counts[ju], dist)) / (n * (n - 1) // 2)
 
 
-def mode_coverage(samples, mixture, radius_scale=2.0, radii=None):
-    """Fraction of mixture components with at least one sample within the
-    per-component radius (default twice the component std)."""
+def mode_coverage(samples, mixture, radius_scale=2.0):
+    """Fraction of mixture components with at least one sample within
+    radius_scale component stds."""
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    if radii is None:
-        radii = radius_scale * mixture.stds
+    radii = radius_scale * mixture.stds
     hit = 0
     for k in range(mixture.n_components):
         d = np.linalg.norm(x - mixture.means[k], axis=1)

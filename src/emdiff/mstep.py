@@ -15,7 +15,7 @@ import numpy as np
 from . import continuous as cont
 from . import discrete as disc
 from .errors import ConfigError, RunAbortedError
-from .numkit import softmax
+from .numkit import normalized_weights, softmax
 
 
 @dataclass
@@ -44,85 +44,84 @@ class MStepConfig:
 def _row_weights(batch, mcfg, weights):
     """Per-transition NLL and KL weights, aligned with batch.transitions()."""
     n, T = batch.n, batch.T
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w < 0):
-            raise ConfigError(
-                "trajectory weights must be nonnegative, one per trajectory")
-        w = w / w.sum()
+    w = normalized_weights(weights, n, "trajectory weights")
     row_w = np.repeat(w, T)
-    if mcfg.kl_weighting == "discounted":
-        step_w = np.array([mcfg.gamma ** (T - t) for t in range(T, 0, -1)])
-    else:
-        step_w = np.ones(T)
+    gamma = mcfg.gamma if mcfg.kl_weighting == "discounted" else 1.0
+    step_w = np.array([gamma ** (T - t) for t in range(T, 0, -1)])
     return row_w, row_w * np.tile(step_w, n)
 
 
+def _twin(pretrained, batch):
+    """The frozen pretrained twin at the batch transitions: its (analytic)
+    reverse mean, or its unforced clean-token probabilities."""
+    X_t, _, t = batch.transitions()
+    if isinstance(pretrained, cont.ContinuousPolicy):
+        return pretrained.mean(X_t, t)
+    return softmax(pretrained.denoiser.logits(X_t, t), axis=-1)
+
+
+def _loss(policy, batch, mcfg, traj_weights, twin):
+    """One forward pass: (total, nll, kl, log_p of batch.transitions(),
+    backward), where backward() returns loss_and_grads' gradients."""
+    if isinstance(policy, cont.ContinuousPolicy):
+        return _continuous_loss(policy, batch, mcfg, traj_weights, twin)
+    return _discrete_loss(policy, batch, mcfg, traj_weights, twin)
+
+
 def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
-                   analytic_mean=None, with_grads=True):
-    """Total loss, its pieces, and gradients wrt policy parameters (None
-    with with_grads=False, which skips the backward pass).
+                   twin=None):
+    """Total loss, its pieces, and gradients wrt policy parameters.
 
     total = nll + kl_coeff * kl, where nll is the weighted negative
     log-likelihood of the batch transitions under the policy and kl the
     per-step KL to the pretrained policy evaluated at the batch states.
-    analytic_mean optionally supplies policy.analytic_mean at the batch
-    transitions (continuous world); it does not depend on the parameters,
-    so update() computes it once per batch.
+    twin optionally supplies the pretrained twin at the batch transitions
+    (see _twin), which update() computes once per batch.
     """
-    if isinstance(policy, cont.ContinuousPolicy):
-        return _continuous_loss(policy, pretrained, batch, mcfg, traj_weights,
-                                analytic_mean, with_grads)
-    return _discrete_loss(policy, pretrained, batch, mcfg, traj_weights,
-                          with_grads)
+    if twin is None:
+        twin = _twin(pretrained, batch)
+    total, nll, kl, _, backward = _loss(policy, batch, mcfg, traj_weights,
+                                        twin)
+    return total, nll, kl, backward()
 
 
-def _continuous_loss(policy, pretrained, batch, mcfg, traj_weights, mu_base,
-                     with_grads):
+def _continuous_loss(policy, batch, mcfg, traj_weights, mu_twin):
     if policy.frozen:
         raise ConfigError("cannot distill into a frozen policy")
     X_t, X_prev, T_arr = batch.transitions()
     row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
     sig2 = policy.schedule.sig2[T_arr]
 
-    if mu_base is None:
-        mu_base = policy.analytic_mean(X_t, T_arr)
     inputs = policy.residual_input(X_t, T_arr)
     raw, cache = policy.residual.forward_cache(inputs)
+    # the shift from the frozen twin's mean, which is the KL's mean gap
     delta = sig2[:, None] * raw
-    mu = mu_base + delta
-    nll = -float(row_w @ cont.gauss_logpdf(X_prev, mu, sig2))
-
-    delta0 = (sig2[:, None] * pretrained.residual.forward(inputs)
-              if not pretrained.frozen else np.zeros_like(delta))
-    gap = delta - delta0
-    kl_rows = 0.5 * np.sum(gap * gap, axis=-1) / sig2
+    mu = mu_twin + delta
+    log_p = cont.gauss_logpdf(X_prev, mu, sig2)
+    nll = -float(row_w @ log_p)
+    kl_rows = 0.5 * np.sum(delta * delta, axis=-1) / sig2
     kl = float(kl_w @ kl_rows)
     total = nll + mcfg.kl_coeff * kl
-    if not with_grads:
-        return total, nll, kl, None
-    up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
-    if mcfg.kl_coeff > 0:
-        up = up + mcfg.kl_coeff * kl_w[:, None] * gap / sig2[:, None]
 
-    # chain rule through the sig2 scaling of the residual shift
-    grads, _ = policy.residual.backward(cache, up * sig2[:, None])
-    return total, nll, kl, grads
+    def backward():
+        up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
+        if mcfg.kl_coeff > 0:
+            up = up + mcfg.kl_coeff * kl_w[:, None] * delta / sig2[:, None]
+        # chain rule through the sig2 scaling of the residual shift
+        grads, _ = policy.residual.backward(cache, up * sig2[:, None])
+        return grads
+
+    return total, nll, kl, log_p, backward
 
 
-def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights, with_grads):
+def _discrete_loss(policy, batch, mcfg, traj_weights, p0_pre):
     den = policy.denoiser
     m = disc.mask_token(den.K)
     rows_xt, rows_prev, rows_t = batch.transitions()
     row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
 
-    logits = den.logits(rows_xt, rows_t)              # (N, L, K)
+    logits, cache = den.forward_cache(rows_xt, rows_t)      # (N, L, K)
     p0 = softmax(logits, axis=-1)
-    logits0 = pretrained.denoiser.logits(rows_xt, rows_t)
-    p0_pre = softmax(logits0, axis=-1)
-
     logp = disc.transition_logprob(policy.schedule, den, rows_xt, rows_prev,
                                    rows_t, x0=p0)
     nll = -float(row_w @ logp)
@@ -135,19 +134,19 @@ def _discrete_loss(policy, pretrained, batch, mcfg, traj_weights, with_grads):
     kl_rows = np.where(masked, emit[:, None] * kl_pos, 0.0)
     kl = float(kl_w @ kl_rows.sum(axis=1))
     total = nll + mcfg.kl_coeff * kl
-    if not with_grads:
-        return total, nll, kl, None
 
-    emit_pos = masked & (rows_prev != m)
-    onehot = disc.one_hot(np.where(emit_pos, rows_prev, 0), den.K)
-    dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) * row_w[:, None, None]
-    if mcfg.kl_coeff > 0:
-        dkl = p0 * (logratio - kl_pos[..., None])
-        dlogits = dlogits + mcfg.kl_coeff * np.where(
-            masked[..., None], (kl_w * emit)[:, None, None] * dkl, 0.0)
+    def backward():
+        emit_pos = masked & (rows_prev != m)
+        onehot = disc.one_hot(np.where(emit_pos, rows_prev, 0), den.K)
+        dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) \
+            * row_w[:, None, None]
+        if mcfg.kl_coeff > 0:
+            dkl = p0 * (logratio - kl_pos[..., None])
+            dlogits = dlogits + mcfg.kl_coeff * np.where(
+                masked[..., None], (kl_w * emit)[:, None, None] * dkl, 0.0)
+        return den.backward(cache, dlogits)
 
-    grads = den.accumulate_logit_grad(rows_xt, rows_t, dlogits)
-    return total, nll, kl, grads
+    return total, nll, kl, logp, backward
 
 
 def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
@@ -156,7 +155,9 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
 
     Asserts the batch was generated at `expected_snapshot` (defaults to the
     policy's current version) before any update; aborts on non-finite
-    gradients. Returns a report with losses before and after.
+    gradients. Each step is one forward and one backward pass; the twin is
+    evaluated once. Returns a report with losses before and after, and the
+    updated policy's log-likelihoods "log_p" (see metrics.elbo_surrogate).
     """
     if batch.n < 1:
         raise ConfigError("M-step needs a non-empty batch")
@@ -165,14 +166,11 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
         raise ConfigError(
             f"stale batch: snapshot {batch.snapshot} does not match expected "
             f"{want}")
-    base = None
-    if isinstance(policy, cont.ContinuousPolicy):
-        X_t, _, t = batch.transitions()
-        base = policy.analytic_mean(X_t, t)
+    twin = _twin(pretrained, batch)
     loss_before = None
     for _ in range(mcfg.steps):
         total, nll, kl, grads = loss_and_grads(policy, pretrained, batch,
-                                               mcfg, traj_weights, base)
+                                               mcfg, traj_weights, twin)
         if loss_before is None:
             loss_before = total
         if not all(np.all(np.isfinite(g)) for g in grads):
@@ -181,7 +179,6 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
                 f"(loss={total!r}, nll={nll!r}, kl={kl!r})")
         opt.step(grads)
         policy.version += 1
-    total, nll, kl, _ = loss_and_grads(policy, pretrained, batch, mcfg,
-                                       traj_weights, base, with_grads=False)
+    total, nll, kl, log_p, _ = _loss(policy, batch, mcfg, traj_weights, twin)
     return {"loss_before": float(loss_before), "loss_after": float(total),
-            "nll": float(nll), "kl": float(kl)}
+            "nll": float(nll), "kl": float(kl), "log_p": log_p}

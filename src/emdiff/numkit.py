@@ -132,6 +132,18 @@ def float_array(value, ndim, what):
     return arr
 
 
+def normalized_weights(weights, n, what):
+    """weights scaled to sum to 1, uniform if None. Given weights need n
+    finite nonnegative values with a positive sum (else ConfigError)."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if (w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0)
+            or not w.sum() > 0):
+        raise ConfigError(f"{what}: need {n} finite values >= 0, sum > 0")
+    return w / w.sum()
+
+
 def sample_categorical(probs, rng, size=None):
     """Draw index i with probability probs[i].
 

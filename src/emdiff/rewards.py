@@ -135,6 +135,14 @@ class MotifCountReward(Reward):
             counts = hits.sum(axis=-1).astype(float)
         return float(counts) if x0.ndim == 1 else counts
 
+    def _window(self, p, start, skip=None):
+        """Product of p[..., start + j, motif[j]] over j != skip, in order."""
+        term = 1.0
+        for j, tok in enumerate(self.motif):
+            if j != skip:
+                term = term * p[..., start + j, tok]
+        return term
+
     def relaxed_value(self, probs):
         p = np.asarray(probs, dtype=float)
         m = self.motif.size
@@ -143,23 +151,15 @@ class MotifCountReward(Reward):
             return 0.0 if p.ndim == 2 else np.zeros(p.shape[0])
         total = 0.0
         for start in range(L - m + 1):
-            term = 1.0
-            for j, tok in enumerate(self.motif):
-                term = term * p[..., start + j, tok]
-            total = total + term
+            total = total + self._window(p, start)
         return total
 
     def _relaxed_grad(self, probs):
         p = np.asarray(probs, dtype=float)
         g = np.zeros_like(p)
-        m = self.motif.size
-        L = p.shape[-2]
-        for start in range(L - m + 1 if L >= m else 0):
-            vals = np.stack([p[..., start + j, tok]
-                             for j, tok in enumerate(self.motif)], axis=-1)
+        for start in range(p.shape[-2] - self.motif.size + 1):
             for j, tok in enumerate(self.motif):
-                others = np.prod(np.delete(vals, j, axis=-1), axis=-1)
-                g[..., start + j, tok] += others
+                g[..., start + j, tok] += self._window(p, start, skip=j)
         return g
 
     def _grad(self, x0):

@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .errors import ConfigError, OracleUnavailableError, RunAbortedError
 from .estep import EStepConfig, sample_posterior_batch
 from .mstep import MStepConfig
-from .numkit import RngStream, softmax
+from .numkit import RngStream, normalized_weights, softmax
 from .optim import Adam
 from .rewards import make_reward, tokens_from_string
 from .schedules import make_continuous_schedule, make_discrete_schedule
@@ -30,9 +30,7 @@ from .softq import ExactSoftTables
 
 _INIT, _PRETRAIN, _ESTEP, _EVAL, _POSTERIOR = 1, 2, 3, 4, 5
 
-CSV_FIELDS = ["epoch", "elbo", "elbo_kind", "mean_reward", "reward_std",
-              "diversity", "mode_coverage", "weight_entropy", "fallbacks",
-              "loss_before", "loss_after"]
+CSV_FIELDS = [f.name for f in dataclasses.fields(met.ElboRecord)]
 
 VARIANTS = ("dav", "search_and_distill", "reweight")
 
@@ -196,7 +194,7 @@ def _parts(cfg):
         if not rows or any(r.size != L for r in rows):
             raise ConfigError(f"pretrain.sequences needs at least one "
                               f"string, each of {L} characters")
-        disc.pretrain_weights(pre.get("probs"), len(rows))
+        normalized_weights(pre.get("probs"), len(rows), "pretraining weights")
         data = np.stack(rows)
     reward = make_reward(cfg["reward"], vocab=world.get("vocab"),
                          alphabet=alphabet)
@@ -294,19 +292,20 @@ def _rollout_stats(setup, terminals):
 
 
 def evaluate_policy(setup, policy, epoch, batch=None, report=None):
-    """One metrics row: rollout statistics plus the best available ELBO."""
+    """One metrics row: rollout statistics plus the best available ELBO;
+    the surrogate one reads report, mstep.update's report on batch."""
     terminals = policy.rollout(setup.root.child(_EVAL, epoch),
                                setup.cfg["eval"]["samples"]).terminals
-    rec = met.ElboRecord(epoch=epoch, elbo=float("nan"), estimator="none",
+    rec = met.ElboRecord(epoch=epoch, elbo=float("nan"), elbo_kind="none",
                          **_rollout_stats(setup, terminals))
     searched = batch is not None and batch.searched
     if setup.enumerable:
         rec.elbo = met.elbo_exact_tabular(setup.exact_tables(policy))
-        rec.estimator = "exact-tabular"
+        rec.elbo_kind = "exact-tabular"
     elif searched:
-        rec.elbo = met.elbo_surrogate(policy, batch, setup.ecfg.alpha,
-                                      setup.ecfg.gamma)
-        rec.estimator = "surrogate-is"
+        rec.elbo = met.elbo_surrogate(batch, report["log_p"],
+                                      setup.ecfg.alpha, setup.ecfg.gamma)
+        rec.elbo_kind = "surrogate-is"
     if searched:
         rec.weight_entropy = float(np.mean(batch.weight_entropy))
         rec.fallbacks = int(batch.fallbacks.sum())
@@ -368,16 +367,13 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
     os.makedirs(out_dir, exist_ok=True)
     ckpt.write_atomic(os.path.join(out_dir, "config.json"),
                       json.dumps(cfg, sort_keys=True, indent=2))
-    setup = Setup(cfg)
+    setup = Setup(cfg) if payload is None else _restored_setup(cfg, payload)
     policy, pretrained, reward = setup.policy, setup.pretrained, setup.reward
     mcfg = setup.mcfg
     opt = Adam(policy.params(), lr=mcfg.lr, beta1=mcfg.beta1, beta2=mcfg.beta2)
     start_epoch = 0
     if payload is not None:
-        ckpt.restore_arrays(policy.params(), payload["params"])
-        ckpt.restore_arrays(pretrained.params(), payload["pretrained_params"])
         opt.load_state_dict(payload["opt"])
-        policy.version = payload["policy_version"]
         start_epoch = payload["epoch"] + 1
         fh = open(csv_path, "a")
     else:
@@ -438,12 +434,17 @@ def load_setup_from_checkpoint(path):
     cfg = payload["config"]
     if payload["config_hash"] != ckpt.config_hash(cfg):
         raise ConfigError("checkpoint config hash does not match its config")
+    return _restored_setup(cfg, payload), payload
+
+
+def _restored_setup(cfg, payload):
+    """The world of cfg with a checkpoint's parameters, not pretrained."""
     setup = Setup(cfg, skip_pretrain=True)
     ckpt.restore_arrays(setup.policy.params(), payload["params"])
     ckpt.restore_arrays(setup.pretrained.params(),
                         payload["pretrained_params"])
     setup.policy.version = payload["policy_version"]
-    return setup, payload
+    return setup
 
 
 def run_eval(ckpt_path, n_samples, posterior=False, seed=None, out_dir=None):

@@ -25,6 +25,12 @@ def tiny_policy(T=3, skew=True):
     return DiscretePolicy(sched, den), MotifCountReward(np.array([0, 1]), 2)
 
 
+def log_p_of(policy, batch):
+    """log p_theta of the batch transitions under policy, the log_p that
+    elbo_surrogate reads."""
+    return policy.logprob(*batch.transitions())
+
+
 class ConstReward(Reward):
     def __init__(self, c):
         super().__init__("const", "discrete")
@@ -167,7 +173,7 @@ def test_surrogate_matches_exact_on_tabular_instance():
     exact = elbo_exact_tabular(tables)
     cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=64, guidance=True)
     batch = sample_posterior_batch(policy, reward, cfg, RngStream(5), 10_000)
-    sur = elbo_surrogate(policy, batch, alpha, gamma)
+    sur = elbo_surrogate(batch, log_p_of(policy, batch), alpha, gamma)
     assert abs(sur - exact) <= 0.05 * abs(exact)
 
 
@@ -176,7 +182,7 @@ def test_surrogate_prior_policy_single_particle_reduces_to_reward_term():
     alpha, gamma = 0.5, 0.9
     cfg = EStepConfig(alpha=alpha, gamma=gamma, particles=1, guidance=False)
     batch = sample_posterior_batch(policy, reward, cfg, RngStream(6), 50)
-    sur = elbo_surrogate(policy, batch, alpha, gamma)
+    sur = elbo_surrogate(batch, log_p_of(policy, batch), alpha, gamma)
     expect = np.mean(gamma ** (batch.T - 1) * batch.rewards / alpha)
     assert sur == pytest.approx(expect, abs=1e-12)
 
@@ -207,16 +213,17 @@ def test_surrogate_matches_per_transition_reference():
                 log_eta = batch.log_proposal[i, j] + batch.log_weight_corr[i, j]
                 acc += gamma ** (T - t) * (log_p - log_eta)
             ref += acc / batch.n
-        sur = elbo_surrogate(policy, batch, alpha, gamma)
+        sur = elbo_surrogate(batch, log_p_of(policy, batch), alpha, gamma)
         assert sur == pytest.approx(ref, abs=1e-12)
 
 
 def test_surrogate_needs_batch():
     policy, _ = tiny_policy()
     with pytest.raises(ConfigError):
-        elbo_surrogate(policy, TrajectoryBatch(
-            states=np.zeros((0, 4, 2), dtype=np.int64)), 0.5, 1.0)
+        elbo_surrogate(TrajectoryBatch(
+            states=np.zeros((0, 4, 2), dtype=np.int64)), np.zeros(0), 0.5,
+            1.0)
     rollouts = policy.rollout(RngStream(8), 4)  # no search logs
     with pytest.raises(ConfigError):
-        elbo_surrogate(policy, rollouts, 0.5, 1.0)
+        elbo_surrogate(rollouts, log_p_of(policy, rollouts), 0.5, 1.0)
 

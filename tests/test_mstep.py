@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from emdiff import continuous as cont_mod
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
-from emdiff.discrete import DiscretePolicy, TabularDenoiser, mask_token, pretrain
+from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
+                             mask_token, pretrain)
 from emdiff.errors import (ConfigError, RunAbortedError,
                            UnreachableTransitionError)
 from emdiff.estep import EStepConfig, sample_posterior_batch
+from emdiff.metrics import elbo_surrogate
 from emdiff.mstep import MStepConfig, loss_and_grads, update
-from emdiff.numkit import RngStream
+from emdiff.numkit import Mlp, RngStream
 from emdiff.optim import Adam
 from emdiff.rewards import LinearReward, MotifCountReward
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
@@ -201,7 +204,9 @@ def test_update_reports_and_lr_zero_is_identity():
 @pytest.mark.parametrize("kl_coeff", [0.0, 0.3])
 def test_loss_without_grads_is_the_same_loss(setup, kl_coeff):
     # the loss update() reports after its last step skips the backward
-    # pass; its value and pieces are the full call's, bit for bit
+    # pass; its value and pieces are the full call's, bit for bit, and its
+    # log-likelihoods are the updated policy's, which the surrogate ELBO
+    # reads in place of a logprob pass of its own
     policy, pretrained, reward = setup()
     batch = make_batch(policy, reward, 6)
     mcfg = MStepConfig(lr=0.02, steps=2, kl_coeff=kl_coeff)
@@ -209,10 +214,92 @@ def test_loss_without_grads_is_the_same_loss(setup, kl_coeff):
                     Adam(policy.params(), lr=mcfg.lr))
     total, nll, kl, grads = loss_and_grads(policy, pretrained, batch, mcfg)
     assert grads is not None
-    assert loss_and_grads(policy, pretrained, batch, mcfg,
-                          with_grads=False) == (total, nll, kl, None)
     assert (report["loss_after"], report["nll"], report["kl"]) == \
         (total, nll, kl)
+    np.testing.assert_array_equal(report["log_p"],
+                                  policy.logprob(*batch.transitions()))
+
+
+@pytest.mark.parametrize("setup", [cont_setup, disc_setup])
+@pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0, 0.0],
+                                     [np.inf, 1.0, 1.0, 1.0],
+                                     [np.nan, 1.0, 1.0, 1.0]])
+def test_bad_trajectory_weights_fail_before_any_step(setup, weights):
+    policy, pretrained, reward = setup()
+    batch = make_batch(policy, reward, 4)
+    before = [p.copy() for p in policy.params()]
+    with pytest.raises(ConfigError):
+        update(policy, pretrained, batch, MStepConfig(lr=0.1, steps=2),
+               Adam(policy.params(), lr=0.1), traj_weights=weights)
+    assert policy.version == 0
+    for p, b in zip(policy.params(), before):
+        np.testing.assert_array_equal(p, b)
+
+
+class PassCounter:
+    """Counts calls of the MLP's forward and backward passes and of the
+    mixture-statistics pass."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"forward": 0, "backward": 0, "mixture_stats": 0}
+        for owner, attr, key in ((Mlp, "forward_cache", "forward"),
+                                 (Mlp, "backward", "backward"),
+                                 (cont_mod, "mixture_stats",
+                                  "mixture_stats")):
+            monkeypatch.setattr(owner, attr, self._spy(getattr(owner, attr),
+                                                       key))
+
+    def _spy(self, fn, key):
+        def spy(*args, **kwargs):
+            self.counts[key] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    def take(self):
+        out = dict(self.counts)
+        for key in self.counts:
+            self.counts[key] = 0
+        return out
+
+
+def mlp_setup(seed=0, T=3, L=3, K=3):
+    sched = make_discrete_schedule(T)
+    den = MlpDenoiser(L, K, T, widths=(8,), rng=RngStream(seed))
+    policy = DiscretePolicy(sched, den)
+    reward = MotifCountReward(np.array([0, 1]), K)
+    return policy, policy.pretrained_copy(), reward
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_each_distill_pass_runs_each_network_once(monkeypatch, steps):
+    # S steps: one forward and backward each, one forward for the report
+    # and one of the twin; the surrogate ELBO then evaluates no network
+    policy, pretrained, reward = mlp_setup()
+    batch = make_batch(policy, reward, 5, alpha=1.0)
+    mcfg = MStepConfig(lr=0.01, steps=steps, kl_coeff=0.1)
+    passes = PassCounter(monkeypatch)
+    report = update(policy, pretrained, batch, mcfg,
+                    Adam(policy.params(), lr=mcfg.lr))
+    assert passes.take() == {"forward": steps + 2, "backward": steps,
+                             "mixture_stats": 0}
+    elbo_surrogate(batch, report["log_p"], 1.0, 1.0)
+    assert passes.take() == {"forward": 0, "backward": 0, "mixture_stats": 0}
+
+    cpolicy, cpretrained, creward = cont_setup()
+    cbatch = make_batch(cpolicy, creward, 3, gamma=0.9)
+    passes.take()
+    report = update(cpolicy, cpretrained, cbatch, mcfg,
+                    Adam(cpolicy.params(), lr=mcfg.lr))
+    assert passes.take() == {"forward": steps + 1, "backward": steps,
+                             "mixture_stats": 1}
+    elbo_surrogate(cbatch, report["log_p"], 1.0, 0.9)
+    assert passes.take() == {"forward": 0, "backward": 0, "mixture_stats": 0}
+
+    # pretraining: one forward and one backward per epoch
+    den = policy.denoiser
+    pretrain(den, policy.schedule, np.array([[0, 1, 2], [2, 1, 0]]),
+             epochs=4, lr=0.01, rng=RngStream(2), batch_size=4)
+    assert passes.take() == {"forward": 4, "backward": 4, "mixture_stats": 0}
 
 
 def test_update_rejects_stale_snapshot():

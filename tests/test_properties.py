@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from edit_distance_reference import levenshtein, pairwise_levenshtein
+from motif_reward_reference import motif_relaxed_grad
 from emdiff import metrics
 from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
                                mixture_stats, x0hat_jacobian)
@@ -535,3 +536,18 @@ def test_single_gaussian_guided_mean_is_prior_plus_scaled_gradient(
     grad_r = np.sum(bumps[..., None] * -diff / 1.1**2, axis=-2)
     want = policy.mean(X, t) + sig2 / alpha * gamma ** (t - 1) * slope * grad_r
     np.testing.assert_allclose(mean, want, rtol=1e-12, atol=1e-12)
+
+
+@FAST
+@given(m=st.integers(1, 4), L=st.integers(1, 7), K=st.integers(1, 4),
+       lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+       seed=st.integers(0, 2**16))
+@example(m=3, L=2, K=2, lead=(3,), seed=0)     # L < m
+@example(m=4, L=4, K=3, lead=(), seed=1)       # L = m
+def test_motif_relaxed_grad_matches_reference_bit_for_bit(m, L, K, lead,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    motif = rng.integers(0, K, m)
+    probs = rng.random(lead + (L, K + 1))
+    got = MotifCountReward(motif, K).relaxed_grad(probs)
+    np.testing.assert_array_equal(got, motif_relaxed_grad(motif, probs))

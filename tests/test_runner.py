@@ -223,7 +223,7 @@ def test_run_align_outputs_and_rows(tmp_path):
     assert os.path.exists(str(tmp_path / "run" / "samples.txt"))
     assert os.path.exists(str(tmp_path / "run" / "config.json"))
     recs = out["records"]
-    assert recs[0].estimator == "exact-tabular"
+    assert recs[0].elbo_kind == "exact-tabular"
     # sample dump is alphabet-coded, one sequence per line
     dump = read(str(tmp_path / "run" / "samples.txt")).decode().strip()
     assert all(set(line) <= set("AB") for line in dump.split("\n"))
@@ -264,6 +264,26 @@ def test_checkpoint_resume_bit_exact(cfg_fn, stop, tmp_path):
     for name in ("metrics.csv", "samples.txt"):
         assert read(os.path.join(full_dir, name)) == \
             read(os.path.join(resume_dir, name))
+
+
+def test_resume_restores_without_pretraining(tmp_path, monkeypatch):
+    # the checkpoint holds every parameter, so a resume pretrains nothing;
+    # its later checkpoints still store the resuming config (epochs 4)
+    full_dir = str(tmp_path / "full")
+    runner.run_align(tiny_cfg(), full_dir)
+    part_dir = str(tmp_path / "part")
+    runner.run_align(tiny_cfg(epochs=2), part_dir)
+    calls = []
+    pretrain = runner.disc.pretrain
+    monkeypatch.setattr(runner.disc, "pretrain",
+                        lambda *a, **k: calls.append(1) or pretrain(*a, **k))
+    runner.run_align(tiny_cfg(), part_dir,
+                     resume=os.path.join(part_dir, "ckpt_epoch0002.json"))
+    assert calls == []
+    for name in ("metrics.csv", "samples.txt", "config.json",
+                 "ckpt_epoch0004.json"):
+        assert read(os.path.join(full_dir, name)) == \
+            read(os.path.join(part_dir, name))
 
 
 def test_resume_of_finished_run_drops_later_rows(tmp_path):
@@ -436,7 +456,7 @@ def test_reweight_variant_runs_and_records(tmp_path):
                            variant="reweight")
     assert len(out["records"]) == 4
     # reweight has no search logs, so entropy stays nan but elbo is exact
-    assert out["records"][-1].estimator == "exact-tabular"
+    assert out["records"][-1].elbo_kind == "exact-tabular"
 
 
 def test_reweight_constant_reward_stays_near_pretrained(tmp_path):

@@ -1,6 +1,8 @@
 """The benchmark's per-layer tracer reads emdiff's call arguments by name.
 A traced align run on the masked MLP world must keep its diversity hook
-working and must write the same metrics.csv as an untraced run. Every
+working, must record each distillation step as a loss_and_grads span
+inside an update span, and must write the same metrics.csv as an untraced
+run. Every
 function the benchmark names for its epoch marks, speed samples and busy
 times, and some function matching each wildcard pattern it names, must
 still be one the tracer wraps."""
@@ -53,6 +55,9 @@ def test_diversity_hook_counts_every_pair_of_a_traced_run(tmp_path):
     n = cfg["eval"]["samples"]
     assert tracer.counters["metrics.diversity.pairs"] == \
         (cfg["epochs"] + 1) * n * (n - 1) // 2
+    # the distill spans and the mstep.rows hook read these two names
+    assert tr.busy(tracer.spans, "mstep.loss_and_grads", "mstep.update")[1] \
+        == cfg["epochs"] * cfg["mstep"]["steps"]
     assert read(tmp_path / "traced" / "metrics.csv") == \
         read(tmp_path / "plain" / "metrics.csv")
 
