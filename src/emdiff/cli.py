@@ -5,7 +5,7 @@ import json
 import sys
 
 from . import runner
-from .errors import ConfigError
+from .errors import ConfigError, OracleUnavailableError
 
 
 def _load(path):
@@ -87,6 +87,9 @@ def main(argv=None):
                 return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OracleUnavailableError as err:
+        print(f"oracle unavailable: {err}", file=sys.stderr)
         return 2
     return 0
 

@@ -257,3 +257,66 @@ class ContinuousPolicy:
             states.append(x)
         return TrajectoryBatch(states=np.stack(states, axis=1),
                                snapshot=self.version)
+
+    def propose(self, reward, X, t, cfg, rng, carry=None):
+        """Search candidates (n, M, d) from X (n, d) at t, their proposal
+        and prior log-densities, r(x0hat) and their carry (see
+        estep.search_step_batch): (resp, xhat) at alpha_bar[t - 1], a row
+        per candidate. X's statistics (its carry, if given) serve the mean
+        and the guidance gradient."""
+        sc = self.schedule
+        sig2 = sc.sig2[t]
+        if carry is None:
+            stats = mixture_stats(self.mixture, X, sc.alpha_bar[t])
+        else:
+            table, kept = carry
+            stats = tuple(a[kept] for a in table)
+        mu_prior = self.mean(X, t, stats[1])
+        mu_prop = mu_prior
+        if cfg.guidance:
+            _, grad = reward_state_grad(self.mixture, reward, X,
+                                        sc.alpha_bar[t], cfg.grad_mode, stats)
+            mu_prop = (mu_prior
+                       + (sig2 / cfg.alpha) * cfg.gamma ** (t - 1) * grad)
+        n, d = X.shape
+        M = cfg.particles
+        states = mu_prop[:, None, :] + np.sqrt(sig2) * rng.normal((n, M, d))
+        log_prop = gauss_logpdf(states, mu_prop[:, None, :], sig2)
+        log_prior = gauss_logpdf(states, mu_prior[:, None, :], sig2)
+        resp, xhat = mixture_stats(self.mixture, states, sc.alpha_bar[t - 1])
+        table = (resp.reshape(n * M, -1), xhat.reshape(n * M, d))
+        return (states, log_prop, log_prior, reward.value(xhat),
+                (table, np.arange(n * M).reshape(n, M)))
+
+    def anchor(self, batch):
+        """As the frozen twin, the KL anchor at batch.transitions(): the
+        reverse mean."""
+        X_t, _, t = batch.transitions()
+        return self.mean(X_t, t)
+
+    def distill_loss(self, batch, row_w, kl_w, kl_coeff, mu_twin):
+        """One forward pass of the distillation loss (see mstep._loss);
+        mu_twin is the twin's anchor."""
+        if self.frozen:
+            raise ConfigError("cannot distill into a frozen policy")
+        X_t, X_prev, T_arr = batch.transitions()
+        sig2 = self.schedule.sig2[T_arr]
+        inputs = self.residual_input(X_t, T_arr)
+        raw, cache = self.residual.forward_cache(inputs)
+        # the shift from the frozen twin's mean, which is the KL's mean gap
+        delta = sig2[:, None] * raw
+        mu = mu_twin + delta
+        log_p = gauss_logpdf(X_prev, mu, sig2)
+        nll = -float(row_w @ log_p)
+        kl = float(kl_w @ (0.5 * np.sum(delta * delta, axis=-1) / sig2))
+        total = nll + kl_coeff * kl
+
+        def backward():
+            up = row_w[:, None] * (mu - X_prev) / sig2[:, None]
+            if kl_coeff > 0:
+                up = up + kl_coeff * kl_w[:, None] * delta / sig2[:, None]
+            # chain rule through the sig2 scaling of the residual shift
+            grads, _ = self.residual.backward(cache, up * sig2[:, None])
+            return grads
+
+        return total, nll, kl, log_p, backward

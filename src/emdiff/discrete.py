@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, OracleUnavailableError, UnreachableTransitionError
-from .numkit import Mlp, normalized_weights, softmax
+from .numkit import Mlp, log_sum_exp, normalized_weights, softmax
 from .optim import Adam
 from .trajectory import TrajectoryBatch
 
@@ -121,12 +121,16 @@ def enumerate_states(L, K, cap=ENUM_CAP):
 
 
 def forward_mask_sample(schedule, x0, t, rng, K):
-    """Mask each position of a clean sequence independently at level t."""
+    """Mask each position of clean sequences (..., L) independently at
+    level t, a scalar or one step per row of x0's leading shape. At t = 0
+    nothing is masked and rng is not read."""
     x0 = np.asarray(x0, dtype=np.int64)
-    if t == 0:
+    t = np.asarray(t)
+    if not t.any():
         return x0.copy()
-    schedule.check_t(t)
-    keep = rng.uniform(x0.shape) < schedule.alpha_bar[t]
+    schedule.check_t(t.min())
+    schedule.check_t(t.max())
+    keep = rng.uniform(x0.shape) < schedule.alpha_bar[t][..., None]
     return np.where(keep, x0, mask_token(K))
 
 
@@ -348,6 +352,99 @@ class DiscretePolicy:
         return TrajectoryBatch(states=np.stack(states, axis=1),
                                snapshot=self.version)
 
+    def propose(self, reward, X, t, cfg, rng, carry=None):
+        """Search candidates (n, M, L) from token rows X (n, L) at t, their
+        proposal and prior log-probabilities, relaxed r(x0hat) and their
+        carry (see estep.search_step_batch): x0_probs at t - 1, a row per
+        distinct candidate. Each distinct row of X is evaluated once, from
+        its carry if given."""
+        den = self.denoiser
+        n, L = X.shape
+        U, inverse, _ = distinct_rows(X, den.K)
+        nu = U.shape[0]
+        if carry is None:
+            p0 = x0_probs(den, U, np.full(nu, t))              # (nu, L, K)
+        else:
+            table, kept = carry
+            slot = np.empty(nu, dtype=np.intp)
+            slot[inverse] = kept
+            p0 = table[slot]
+        rows = subs_position_probs(self.schedule, den, U, t - 1, t, x0=p0)
+        with np.errstate(divide="ignore"):
+            log_rows = np.log(rows)
+        if cfg.guidance:
+            g = reward.relaxed_grad(relaxed_x0(den, U, t, x0=p0))
+            # per-position logit shifts over the K+1 classes; the mask class
+            # takes the denoiser-averaged token gradient, since keeping the
+            # mask keeps the denoiser's prediction in play
+            shift = np.concatenate(
+                [g[..., :den.K],
+                 np.sum(p0 * g[..., :den.K], axis=-1)[..., None]], axis=-1)
+            prop_logits = log_rows + cfg.gamma ** (t - 1) / cfg.alpha * shift
+            prop_logp = prop_logits - log_sum_exp(prop_logits,
+                                                  axis=-1)[..., None]
+        else:
+            prop_logp = log_rows
+        states = draw_successors(X, np.exp(prop_logp), inverse,
+                                 rng.uniform((n, cfg.particles, L)))
+        # the log-probabilities of the drawn classes, gathered by flat index
+        # into the (nu, L, K+1) tables: states is offset to that index in
+        # place and back, so no (n, M, L) index array is made. The masked
+        # sum adds each run of masked positions on its own; keep it, it
+        # fixes the rounding
+        masked = (X == mask_token(den.K))[:, None, :]
+        offset = ((inverse * L)[:, None] + np.arange(L)) * (den.K + 1)
+        states += offset[:, None, :]
+        log_prop = np.sum(np.take(prop_logp, states), axis=-1, where=masked)
+        log_prior = np.sum(np.take(log_rows, states), axis=-1, where=masked)
+        states -= offset[:, None, :]
+        S, cand, _ = distinct_rows(states.reshape(-1, L), den.K)
+        p0_s = x0_probs(den, S, t - 1)
+        r_hat = reward.relaxed_value(relaxed_x0(den, S, t - 1, x0=p0_s))
+        cand = cand.reshape(states.shape[:-1])
+        return states, log_prop, log_prior, r_hat[cand], (p0_s, cand)
+
+    def anchor(self, batch):
+        """As the frozen twin, the KL anchor at batch.transitions(): the
+        unforced clean-token probabilities."""
+        X_t, _, t = batch.transitions()
+        return softmax(self.denoiser.logits(X_t, t), axis=-1)
+
+    def distill_loss(self, batch, row_w, kl_w, kl_coeff, p0_pre):
+        """One forward pass of the distillation loss (see mstep._loss);
+        p0_pre is the twin's anchor."""
+        den = self.denoiser
+        m = mask_token(den.K)
+        rows_xt, rows_prev, rows_t = batch.transitions()
+        logits, cache = den.forward_cache(rows_xt, rows_t)      # (N, L, K)
+        p0 = softmax(logits, axis=-1)
+        logp = transition_logprob(self.schedule, den, rows_xt, rows_prev,
+                                  rows_t, x0=p0)
+        nll = -float(row_w @ logp)
+
+        # KL(p_theta || p_pre) per masked position, scaled by the emit mass
+        masked = rows_xt == m
+        logratio = np.log(p0) - np.log(p0_pre)
+        kl_pos = np.sum(p0 * logratio, axis=-1)
+        _, emit = stay_emit(self.schedule, rows_t - 1, rows_t)
+        kl_rows = np.where(masked, emit[:, None] * kl_pos, 0.0)
+        kl = float(kl_w @ kl_rows.sum(axis=1))
+        total = nll + kl_coeff * kl
+
+        def backward():
+            emit_pos = masked & (rows_prev != m)
+            onehot = one_hot(np.where(emit_pos, rows_prev, 0), den.K)
+            dlogits = np.where(emit_pos[..., None], p0 - onehot, 0.0) \
+                * row_w[:, None, None]
+            if kl_coeff > 0:
+                dkl = p0 * (logratio - kl_pos[..., None])
+                dlogits = dlogits + kl_coeff * np.where(
+                    masked[..., None], (kl_w * emit)[:, None, None] * dkl,
+                    0.0)
+            return den.backward(cache, dlogits)
+
+        return total, nll, kl, logp, backward
+
 
 def _mask_patterns(L):
     return np.array(list(itertools.product([False, True], repeat=L)))
@@ -433,9 +530,8 @@ def _pretrain_pass_sampled(denoiser, schedule, sequences, weights, rng,
     pick = rng.gen.choice(n, size=batch_size, p=weights)
     x0_batch = sequences[pick]
     t_batch = rng.gen.integers(1, schedule.T + 1, size=batch_size)
-    ab = schedule.alpha_bar[t_batch][:, None]
-    keep = rng.uniform(x0_batch.shape) < ab
-    xt_batch = np.where(keep, x0_batch, mask_token(denoiser.K))
+    xt_batch = forward_mask_sample(schedule, x0_batch, t_batch, rng,
+                                   denoiser.K)
     _, emit = stay_emit(schedule, t_batch - 1, t_batch)
     return _ce_rows(denoiser, xt_batch, t_batch, x0_batch,
                     emit / batch_size)

@@ -12,11 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import continuous as cont
-from . import discrete as disc
 from .errors import ConfigError
 from .numkit import log_sum_exp
-from .softq import SoftQConfig, approx_soft_q, x0hat_reward
+from .softq import SoftQConfig, approx_soft_q
 from .trajectory import TrajectoryBatch
 
 
@@ -50,109 +48,33 @@ class StepInfo(NamedTuple):
     qhat: np.ndarray              # its approximate soft Q
     entropy: np.ndarray           # entropy of the row's normalized weights
     fallback: np.ndarray          # True where no weight was finite
-    stats: tuple | None           # kept rows' mixture statistics (continuous)
+    carry: tuple                  # (table, rows) of the kept states
 
 
-def _propose_continuous_batch(policy, reward, X, t, cfg, rng, stats):
-    """Vectorized proposal for a batch of states: (n, d) -> (n, M, d).
-
-    One mixture-statistics pass per state: stats (the (resp, xhat) of X at
-    alpha_bar[t], or None) serve the policy mean and the guidance gradient,
-    and the candidates' pass at alpha_bar[t - 1] scores them and is
-    returned for the kept rows to carry into the next step.
-    """
-    sc = policy.schedule
-    mix = policy.mixture
-    sig2 = sc.sig2[t]
-    if stats is None:
-        stats = cont.mixture_stats(mix, X, sc.alpha_bar[t])
-    mu_prior = policy.mean(X, t, stats[1])
-    mu_prop = mu_prior
-    if cfg.guidance:
-        cfg.validate_against(reward)
-        _, grad = cont.reward_state_grad(mix, reward, X, sc.alpha_bar[t],
-                                         cfg.grad_mode, stats)
-        mu_prop = mu_prior + (sig2 / cfg.alpha) * cfg.gamma ** (t - 1) * grad
-    n, d = X.shape
-    eps = rng.normal((n, cfg.particles, d))
-    states = mu_prop[:, None, :] + np.sqrt(sig2) * eps
-    log_prop = cont.gauss_logpdf(states, mu_prop[:, None, :], sig2)
-    log_prior = cont.gauss_logpdf(states, mu_prior[:, None, :], sig2)
-    cand = cont.mixture_stats(mix, states, sc.alpha_bar[t - 1])
-    qhat = approx_soft_q(cfg.softq, t, reward.value(cand[1]))
-    return states, log_prop, log_prior, qhat, cand
-
-
-def _propose_discrete_batch(policy, reward, X, t, cfg, rng):
-    """Vectorized proposal for (n, L) token states -> (n, M, L).
-
-    The denoiser, the substitution rows and the guidance shift are
-    evaluated once per distinct row of X and gathered back by row.
-    """
-    den = policy.denoiser
-    n, L = X.shape
-    M = cfg.particles
-    U, inverse, _ = disc.distinct_rows(X, den.K)
-    nu = U.shape[0]
-    p0 = disc.x0_probs(den, U, np.full(nu, t))             # (nu, L, K)
-    rows = disc.subs_position_probs(policy.schedule, den, U, t - 1, t, x0=p0)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(rows)
-    if cfg.guidance:
-        cfg.validate_against(reward)
-        g = reward.relaxed_grad(disc.relaxed_x0(den, U, t, x0=p0))
-        # per-position logit shifts over the K+1 classes; the mask class
-        # takes the denoiser-averaged token gradient, since keeping the mask
-        # keeps the denoiser's prediction in play
-        shift = np.concatenate(
-            [g[..., :den.K], np.sum(p0 * g[..., :den.K], axis=-1)[..., None]],
-            axis=-1)
-        prop_logits = log_rows + cfg.gamma ** (t - 1) / cfg.alpha * shift
-        prop_logp = prop_logits - log_sum_exp(prop_logits, axis=-1)[..., None]
-    else:
-        prop_logp = log_rows
-    states = disc.draw_successors(X, np.exp(prop_logp), inverse,
-                                  rng.uniform((n, M, L)))
-    # the log-probabilities of the drawn classes, gathered by flat index into
-    # the (nu, L, K+1) tables: states is offset to that index in place and
-    # back, so no (n, M, L) index array is made. The masked sum adds each
-    # run of masked positions on its own; keep it, it fixes the rounding
-    masked = (X == disc.mask_token(den.K))[:, None, :]
-    offset = ((inverse * L)[:, None] + np.arange(L)) * (den.K + 1)
-    states += offset[:, None, :]
-    log_prop = np.sum(np.take(prop_logp, states), axis=-1, where=masked)
-    log_prior = np.sum(np.take(log_rows, states), axis=-1, where=masked)
-    states -= offset[:, None, :]
-    r_hat = x0hat_reward(policy, reward, states, t - 1)
-    return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
-
-
-def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
+def search_step_batch(policy, reward, X, t, cfg, rng, carry=None):
     """One propose/weight/resample step for a whole batch of states.
 
-    Returns the resampled next states and a StepInfo of per-row bookkeeping
-    (its stats, the next states' mixture statistics, are None in the
-    discrete world).
-    stats, the mixture statistics of X that the previous step returned,
-    saves recomputing them; results agree with a fresh pass to rounding.
+    policy.propose returns the candidates and their carry (table, inverse):
+    what its next proposal reads of a state (mixture statistics, or
+    clean-token probabilities) as table rows, with the (n, M) inverse
+    naming each candidate's row. Returns the resampled next states and a
+    StepInfo; its carry, (table, inverse[kept]), passed back with those
+    states saves the next step's statistics pass and agrees with a fresh
+    one to rounding.
     """
-    if isinstance(policy, cont.ContinuousPolicy):
-        states, log_prop, log_prior, qhat, cand = _propose_continuous_batch(
-            policy, reward, X, t, cfg, rng, stats)
-    else:
-        states, log_prop, log_prior, qhat = _propose_discrete_batch(
-            policy, reward, X, t, cfg, rng)
-        cand = None
+    cfg.validate_against(reward)
+    states, log_prop, log_prior, qhat, (table, inverse) = policy.propose(
+        reward, X, t, cfg, rng, carry)
+    qhat = approx_soft_q(cfg.softq, t, qhat)  # of the reward at x0hat
     n = X.shape[0]
     logw = log_prior - log_prop + qhat / cfg.alpha
     finite = np.isfinite(logw)
     fallback_rows = ~finite.any(axis=1)
-    safe = np.where(finite, logw, -np.inf)
-    safe[fallback_rows] = 0.0
-    lse = log_sum_exp(safe, axis=1)
-    weights = np.exp(safe - lse[:, None])
+    logw[~finite] = -np.inf
+    logw[fallback_rows] = 0.0
+    lse = log_sum_exp(logw, axis=1)
+    weights = np.exp(logw - lse[:, None])
     weights /= weights.sum(axis=1, keepdims=True)
-    corr = safe - (lse - np.log(cfg.particles))[:, None]
     u = rng.uniform(n)
     cdf = np.cumsum(weights, axis=1)
     cdf[:, -1] = 1.0
@@ -161,9 +83,10 @@ def search_step_batch(policy, reward, X, t, cfg, rng, stats=None):
     nz = weights > 0
     ent = -np.sum(np.where(nz, weights * np.log(
         np.where(nz, weights, 1.0)), 0.0), axis=1)
-    kept = None if cand is None else tuple(a[rows, k] for a in cand)
-    info = StepInfo(log_prior[rows, k], log_prop[rows, k], corr[rows, k],
-                    qhat[rows, k], ent, fallback_rows, kept)
+    corr = logw[rows, k] - (lse - np.log(cfg.particles))
+    info = StepInfo(log_prior[rows, k], log_prop[rows, k], corr,
+                    qhat[rows, k], ent, fallback_rows,
+                    (table, inverse[rows, k]))
     return states[rows, k], info
 
 
@@ -177,13 +100,13 @@ def sample_posterior_batch(policy, reward, cfg, rng, n):
     X = policy.start(rng, n)
     states = [X]
     infos = []
-    stats = None
+    carry = None
     for t in range(policy.schedule.T, 0, -1):
         X, info = search_step_batch(policy, reward, X, t, cfg, rng.child(t),
-                                    stats)
-        stats = info.stats
+                                    carry)
+        carry = info.carry
         states.append(X)
-        infos.append(info)
+        infos.append(info._replace(carry=None))  # the logs, not the tables
 
     def column(field):
         return np.stack([getattr(i, field) for i in infos], axis=1)

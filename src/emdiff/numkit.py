@@ -194,10 +194,6 @@ class Mlp:
     def in_width(self):
         return self.widths[0]
 
-    @property
-    def out_width(self):
-        return self.widths[-1]
-
     def params(self):
         """Live references to parameter arrays, weights and biases interleaved."""
         out = []
@@ -259,8 +255,3 @@ class Mlp:
             delta = delta @ self.weights[i]
         dx = delta
         return grads, (dx[0] if single else dx)
-
-    def grad(self, x, upstream):
-        """Convenience: forward then backward in one call."""
-        _, cache = self.forward_cache(x)
-        return self.backward(cache, upstream)

@@ -167,6 +167,13 @@ def resolve_config(raw):
     return cfg
 
 
+def _enumerable(world):
+    """Whether a resolved world is discrete with (K+1)^L <= ENUM_CAP
+    states: the worlds with exact tables, a tabular denoiser and oracles."""
+    return (world["kind"] == "discrete"
+            and (world["vocab"] + 1) ** world["length"] <= disc.ENUM_CAP)
+
+
 def _parts(cfg):
     """Reward, E- and M-step configs, schedule, world data (the mixture or
     the pretraining corpus as token rows) and alphabet of a resolved config.
@@ -182,7 +189,7 @@ def _parts(cfg):
     else:
         schedule = make_discrete_schedule(sch["steps"])
         L, K = world["length"], world["vocab"]
-        if world["denoiser"] == "tabular" and (K + 1) ** L > disc.ENUM_CAP:
+        if world["denoiser"] == "tabular" and not _enumerable(world):
             raise ConfigError(f"tabular denoiser needs (K+1)^L <= "
                               f"{disc.ENUM_CAP}, got {(K + 1) ** L}")
         alphabet = world.get("alphabet", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:K])
@@ -214,6 +221,7 @@ class Setup:
         self.root = RngStream(self.seed)
         world = cfg["world"]
         self.kind = world["kind"]
+        self.enumerable = _enumerable(world)
         (self.reward, self.ecfg, self.mcfg, self.schedule, data,
          self.alphabet) = _parts(cfg)
         if self.kind == "continuous":
@@ -222,7 +230,6 @@ class Setup:
                 self.schedule, self.mixture,
                 residual_widths=tuple(world["residual_widths"]),
                 rng=self.root.child(_INIT))
-            self.enumerable = False
         else:
             L, K = world["length"], world["vocab"]
             den_cfg = world["denoiser"]
@@ -240,7 +247,6 @@ class Setup:
                               rng=self.root.child(_PRETRAIN),
                               batch_size=pre.get("batch_size"))
             self.policy = disc.DiscretePolicy(self.schedule, den)
-            self.enumerable = (K + 1) ** L <= disc.ENUM_CAP
         self.pretrained = self.policy.pretrained_copy()
 
     def exact_tables(self, policy=None):
@@ -483,11 +489,11 @@ def run_eval(ckpt_path, n_samples, posterior=False, seed=None, out_dir=None):
 def run_oracle(raw_cfg, out_dir=None, repeats=4000, seeds=5):
     """Run every oracle-backed check on an enumerable instance."""
     cfg = resolve_config(raw_cfg)
-    if cfg["world"]["kind"] != "discrete":
-        raise OracleUnavailableError("oracle suite needs a discrete world")
+    if not _enumerable(cfg["world"]):
+        raise OracleUnavailableError(
+            "oracle suite needs a discrete world within the enumeration cap "
+            f"(K+1)^L <= {disc.ENUM_CAP}")
     setup = Setup(cfg)
-    if not setup.enumerable:
-        raise OracleUnavailableError("instance exceeds the enumeration cap")
     rows = oracle_mod.run_suite(setup.policy, setup.pretrained, setup.reward,
                                 setup.ecfg, repeats=repeats, seeds=seeds)
     text = oracle_mod.format_report(rows)

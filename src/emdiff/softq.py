@@ -27,18 +27,6 @@ class SoftQConfig:
             raise ConfigError("gamma must lie in (0, 1]")
 
 
-def x0hat_reward(policy, reward, states, u):
-    """Relaxed reward at the denoiser's clean-token distribution for discrete
-    states (..., L) at timestep u (exact at u = 0, where states are fully
-    unmasked), evaluated once per distinct state. The continuous world
-    scores r(x0hat) from its carried mixture statistics (estep)."""
-    states = np.asarray(states, dtype=np.int64)
-    U, inverse, _ = disc.distinct_rows(states.reshape(-1, states.shape[-1]),
-                                       policy.denoiser.K)
-    r = reward.relaxed_value(disc.relaxed_x0(policy.denoiser, U, u))
-    return r[inverse].reshape(states.shape[:-1])
-
-
 def approx_soft_q(cfg, t, r_hat):
     """qhat = gamma^(t-1) * r(x0hat(x_{t-1})), exact at t = 1."""
     return cfg.gamma ** (t - 1) * np.asarray(r_hat, dtype=float)

@@ -1,14 +1,13 @@
 """Reference forms of the discrete sampling kernels that ``emdiff.discrete``
-and ``emdiff.estep`` are tested against, byte for byte: the inverse-cdf draw
-as one broadcast comparison over every class, the proposal's log-probability
-gathers by three index arrays, and the distinct rows by a sort of their
-keys. The proposal and the rollout are written out on top of them."""
+is tested against, byte for byte: the inverse-cdf draw as one broadcast
+comparison over every class, the proposal's log-probability gathers by
+three index arrays, and the distinct rows by a sort of their keys. The
+proposal and the rollout are written out on top of them."""
 
 import numpy as np
 
 from emdiff import discrete as disc
 from emdiff.numkit import log_sum_exp
-from emdiff.softq import approx_soft_q
 
 
 def draw_classes(cdf, u):
@@ -32,8 +31,9 @@ def distinct_rows(tokens, K):
     return keys[:, None] // radix % (K + 1), inverse, counts
 
 
-def propose_discrete_batch(policy, reward, X, t, cfg, rng):
-    """estep._propose_discrete_batch on the reference kernels."""
+def propose(policy, reward, X, t, cfg, rng, carry=None):
+    """DiscretePolicy.propose on the reference kernels, with X's clean-token
+    probabilities computed afresh (a carry is not read)."""
     den = policy.denoiser
     n, L = X.shape
     M = cfg.particles
@@ -62,9 +62,10 @@ def propose_discrete_batch(policy, reward, X, t, cfg, rng):
     log_prop = np.sum(prop_logp[pick], axis=-1, where=masked)
     log_prior = np.sum(log_rows[pick], axis=-1, where=masked)
     S, inv_s, _ = distinct_rows(states.reshape(-1, L), den.K)
+    p0_s = disc.x0_probs(den, S, t - 1)
     r = reward.relaxed_value(disc.relaxed_x0(den, S, t - 1))
-    r_hat = r[inv_s].reshape(n, M)
-    return states, log_prop, log_prior, approx_soft_q(cfg.softq, t, r_hat)
+    inv_s = inv_s.reshape(n, M)
+    return states, log_prop, log_prior, r[inv_s], (p0_s, inv_s)
 
 
 def rollout(policy, rng, n):

@@ -201,7 +201,7 @@ def test_criterion_04_gradient_suite(tiny):
         net = Mlp([3, 6, 2], rng=rng)
         x = rng.normal(3)
         up = rng.normal(2)
-        grads, _ = net.grad(x, up)
+        grads, _ = net.backward(net.forward_cache(x)[1], up)
 
         def f_mlp(mode):
             if mode is None:

@@ -66,6 +66,19 @@ def test_forward_mask_frequency_matches_survival(sched4):
     assert keep.shape[1] == 4
 
 
+def test_forward_mask_per_row_steps_draw_as_one_comparison(sched4):
+    # one uniform per position, kept where it falls below its row's
+    # alpha_bar: the draw that sampled pretraining makes
+    x0 = RngStream(3).gen.integers(0, 2, (50, 3))
+    t = RngStream(4).gen.integers(1, 5, 50)
+    keep = RngStream(5).uniform(x0.shape) < sched4.alpha_bar[t][:, None]
+    np.testing.assert_array_equal(
+        forward_mask_sample(sched4, x0, t, RngStream(5), K=2),
+        np.where(keep, x0, M))
+    with pytest.raises(ConfigError):
+        forward_mask_sample(sched4, x0, t + 1, RngStream(5), K=2)
+
+
 def test_enumerate_states_counts():
     assert enumerate_states(1, 2).shape == (3, 1)
     assert enumerate_states(2, 2).shape == (9, 2)

@@ -3,7 +3,6 @@ import pytest
 
 import discrete_search_reference as ref
 from emdiff import discrete as disc
-from emdiff import estep
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
                              mask_token, pretrain, state_index)
@@ -15,7 +14,7 @@ from emdiff.oracle import resampled_next_state_tv
 from emdiff.rewards import (LinearReward, MotifCountReward, Reward,
                             TokenCountReward)
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
-from emdiff.softq import ExactSoftTables, SoftQConfig, x0hat_reward
+from emdiff.softq import ExactSoftTables, SoftQConfig
 
 MASK = mask_token(2)
 
@@ -237,8 +236,8 @@ def test_distinct_row_evaluation_matches_row_by_row(kind, monkeypatch):
     def outputs():
         nxt, info = search_step_batch(policy, reward, X, 3, cfg,
                                       RngStream(32))
-        return [x0hat_reward(policy, reward, X, 2), nxt,
-                *(v for f, v in info._asdict().items() if f != "stats"),
+        return [reward.relaxed_value(disc.relaxed_x0(den, X, 2)), nxt,
+                *(v for f, v in info._asdict().items() if f != "carry"),
                 policy.rollout(RngStream(33), 60).states]
 
     fast = outputs()
@@ -288,20 +287,36 @@ def test_discrete_search_and_rollout_match_reference_kernels(kind, L,
                               guidance=guidance)
             nxt, info = search_step_batch(policy, reward, X, t, cfg,
                                           RngStream(60 + t))
-            out += [nxt, *(v for f, v in info._asdict().items()
-                           if f != "stats")]
+            out += [nxt, *info[:-1], *info.carry]
         return out
 
     fast = outputs()
     rollout = policy.rollout(RngStream(70), 150).states
-    monkeypatch.setattr(estep, "_propose_discrete_batch",
-                        ref.propose_discrete_batch)
+    monkeypatch.setattr(DiscretePolicy, "propose", ref.propose)
     for got, want in zip(fast, outputs()):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
     want = ref.rollout(policy, RngStream(70), 150)
     assert rollout.dtype == want.dtype
     np.testing.assert_array_equal(rollout, want)
+
+
+@pytest.mark.parametrize("guidance", [True, False])
+def test_search_denoises_each_state_once(guidance, monkeypatch):
+    # each step denoises its candidates once, to score them, and carries
+    # the probabilities to the next proposal: T + 1 passes per search, the
+    # start states' and one per step
+    T = 5
+    den = MlpDenoiser(4, 3, T, widths=(16,), rng=RngStream(80))
+    policy = DiscretePolicy(make_discrete_schedule(T), den)
+    reward = MotifCountReward(np.array([0, 1]), 3)
+    cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=6, guidance=guidance)
+    calls = []
+    x0_probs = disc.x0_probs
+    monkeypatch.setattr(disc, "x0_probs",
+                        lambda *a, **k: calls.append(1) or x0_probs(*a, **k))
+    sample_posterior_batch(policy, reward, cfg, RngStream(81), 20)
+    assert len(calls) == T + 1
 
 
 def test_importance_weights_uniform_for_constant_reward():

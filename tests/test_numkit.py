@@ -150,13 +150,13 @@ def test_mlp_linear_net_input_grad_is_wt_upstream():
     net = Mlp([4, 2], rng=RngStream(1))
     x = RngStream(2).normal(4)
     up = np.array([1.0, -2.0])
-    _, dx = net.grad(x, up)
+    _, dx = net.backward(net.forward_cache(x)[1], up)
     np.testing.assert_allclose(dx, net.weights[0].T @ up, atol=1e-14)
 
 
 def _fd_check(net, x, seed):
-    up = RngStream(seed, 1).normal(net.out_width)
-    grads, dx = net.grad(x, up)
+    up = RngStream(seed, 1).normal(net.widths[-1])
+    grads, dx = net.backward(net.forward_cache(x)[1], up)
     params = net.params()
     h = 1e-5
     worst = 0.0

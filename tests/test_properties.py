@@ -16,16 +16,16 @@ from motif_reward_reference import motif_relaxed_grad
 from emdiff import metrics
 from emdiff.continuous import (ContinuousPolicy, GaussianMixture,
                                mixture_stats, x0hat_jacobian)
-from emdiff.discrete import (DiscretePolicy, TabularDenoiser, distinct_rows,
-                             enumerate_states, mask_token, state_index,
-                             subs_position_probs, transition_logprob,
-                             x0_probs)
+from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
+                             distinct_rows, enumerate_states, mask_token,
+                             relaxed_x0, state_index, subs_position_probs,
+                             transition_logprob, x0_probs)
 from emdiff.estep import EStepConfig, search_step_batch
 from emdiff.numkit import RngStream, log_sum_exp, sample_categorical
 from emdiff.rewards import (ModePreferenceReward, MotifCountReward,
                             TokenCountReward)
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
-from emdiff.softq import ExactSoftTables, SoftQConfig, x0hat_reward
+from emdiff.softq import ExactSoftTables, SoftQConfig
 
 FAST = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -224,7 +224,8 @@ def _enumerated_step(policy, reward, cfg, xt, t):
     succ, prior = _product_successors(np.exp(log_rows))
     pos = np.arange(policy.L)
     log_prop = log_prop_rows[pos, succ].sum(axis=-1)
-    qhat = cfg.gamma ** (t - 1) * x0hat_reward(policy, reward, succ, t - 1)
+    qhat = cfg.gamma ** (t - 1) * reward.relaxed_value(
+        relaxed_x0(policy.denoiser, succ, t - 1))
     return succ, np.log(prior), log_prop, qhat
 
 
@@ -488,18 +489,62 @@ def test_search_carries_fresh_statistics_of_kept_rows(mix, t, M, seed, data):
     reward = ModePreferenceReward([1.0, 0.5], centers, 1.2)
     cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=M)
     X = 3.0 * RngStream(seed, 1).normal((7, mix.dim))
-    stats = mixture_stats(mix, X, sched.alpha_bar[t])
+    carry = (mixture_stats(mix, X, sched.alpha_bar[t]), np.arange(7))
     fresh_next, fresh_info = search_step_batch(policy, reward, X, t, cfg,
                                                RngStream(seed, 2))
     nxt, info = search_step_batch(policy, reward, X, t, cfg,
-                                  RngStream(seed, 2), stats)
+                                  RngStream(seed, 2), carry)
     np.testing.assert_array_equal(nxt, fresh_next)
-    for got, want in zip(info.stats, mixture_stats(mix, nxt,
-                                                   sched.alpha_bar[t - 1])):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    table, kept = info.carry
+    for got, want in zip(table, mixture_stats(mix, nxt,
+                                              sched.alpha_bar[t - 1])):
+        np.testing.assert_allclose(got[kept], want, rtol=1e-12, atol=1e-12)
     for field, got in info._asdict().items():
-        if field != "stats":
+        if field != "carry":
             np.testing.assert_array_equal(got, getattr(fresh_info, field))
+
+
+@FAST
+@given(st.sampled_from(["tabular", "mlp"]), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_discrete_search_carries_fresh_probabilities_of_kept_rows(
+        kind, L, t, M, guidance, seed):
+    # X's carry is its distinct rows' x0_probs, shuffled among rows that
+    # must not be read (NaN); the kept rows' carry is a fresh x0_probs of
+    # them, bit for bit where the denoiser is a table lookup and within
+    # rounding where a matmul over other rows may block differently
+    K, T = 2, 4
+    sched = make_discrete_schedule(T)
+    if kind == "tabular":
+        den = TabularDenoiser(L, K)
+        den.table[:] = 2.0 * RngStream(seed).normal(den.table.shape)
+    else:
+        den = MlpDenoiser(L, K, T, widths=(8,), rng=RngStream(seed))
+    policy = DiscretePolicy(sched, den)
+    reward = MotifCountReward(np.array([0, 1]), K)
+    cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=M, guidance=guidance)
+    gen = RngStream(seed, 1).gen
+    X = np.where(gen.random((9, L)) < 0.6, mask_token(K),
+                 gen.integers(0, K, (9, L)))
+    U, inverse, _ = distinct_rows(X, K)
+    at = gen.permutation(U.shape[0] + 3)[:U.shape[0]]
+    table = np.full((U.shape[0] + 3, L, K), np.nan)
+    table[at] = x0_probs(den, U, np.full(U.shape[0], t))
+    fresh_next, fresh_info = search_step_batch(policy, reward, X, t, cfg,
+                                               RngStream(seed, 2))
+    nxt, info = search_step_batch(policy, reward, X, t, cfg,
+                                  RngStream(seed, 2), (table, at[inverse]))
+    np.testing.assert_array_equal(nxt, fresh_next)
+    for field, got in info._asdict().items():
+        if field != "carry":
+            np.testing.assert_array_equal(got, getattr(fresh_info, field))
+    table, kept = info.carry
+    want = x0_probs(den, nxt, t - 1)
+    if kind == "tabular":
+        np.testing.assert_array_equal(table[kept], want)
+    else:
+        np.testing.assert_allclose(table[kept], want, rtol=0, atol=1e-12)
 
 
 @FAST

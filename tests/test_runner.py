@@ -513,6 +513,43 @@ def test_oracle_rejects_continuous_world(tmp_path):
         runner.run_oracle(cont_cfg(), str(tmp_path / "no"))
 
 
+def mlp_cfg():
+    """A discrete world past the enumeration cap: L = 8, K = 4, 5^8 states."""
+    world = {"kind": "discrete", "length": 8, "vocab": 4,
+             "denoiser": {"kind": "mlp", "widths": [8]},
+             "schedule": {"steps": 3},
+             "pretrain": {"sequences": ["ABCDABCD"], "epochs": 150}}
+    return tiny_cfg(world=world, reward={"name": "motif_count",
+                                         "motif": "AB"})
+
+
+def test_oracle_rejects_before_any_compute(tmp_path, monkeypatch):
+    # the resolved config says whether the world enumerates, so nothing is
+    # pretrained and nothing is written before the oracle says no
+    calls = []
+    monkeypatch.setattr(runner.disc, "pretrain",
+                        lambda *a, **k: calls.append(1))
+    with pytest.raises(OracleUnavailableError):
+        runner.run_oracle(mlp_cfg(), str(tmp_path / "no"))
+    assert calls == []
+    assert not os.path.exists(tmp_path / "no")
+
+
+@pytest.mark.parametrize("cfg_fn", [mlp_cfg, cont_cfg])
+def test_cli_oracle_on_a_non_enumerable_world_exits_2(cfg_fn, tmp_path,
+                                                      capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg_fn(), fh)
+    rc = cli.main(["oracle", "--config", cfg_path,
+                   "--out", str(tmp_path / "no")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("oracle unavailable: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "no")
+
+
 def test_cli_align_eval_oracle(tmp_path, capsys):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:

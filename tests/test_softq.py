@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from emdiff.discrete import DiscretePolicy, TabularDenoiser, mask_token, pretrain
+from emdiff.discrete import TabularDenoiser, mask_token, pretrain, relaxed_x0
 from emdiff.errors import ConfigError
 from emdiff.rewards import MotifCountReward, Reward, TokenCountReward
 from emdiff.schedules import DiscreteSchedule, make_discrete_schedule
 from emdiff.softq import (ExactSoftTables, SoftQConfig, approx_soft_q,
-                          check_bounds, prior_expectation, x0hat_reward)
+                          check_bounds, prior_expectation)
 
 MASK = mask_token(2)
 
@@ -63,11 +63,10 @@ def test_approx_soft_q_terminal_matches_exact():
     sched, den, reward = tiny_world()
     cfg = SoftQConfig(alpha=0.5, gamma=0.8)
     tables = ExactSoftTables(sched, den, reward, cfg)
-    pol = DiscretePolicy(sched, den)
     for s_ix in range(9):
         sl = tables.edges(1, s_ix)
         succ = tables.states[tables.dst[1][sl]]
-        r_hat = x0hat_reward(pol, reward, succ, 0)
+        r_hat = reward.relaxed_value(relaxed_x0(den, succ, 0))
         qhat = approx_soft_q(cfg, 1, r_hat)
         np.testing.assert_allclose(qhat, tables.q[1][sl], atol=1e-12)
 
@@ -206,8 +205,7 @@ def test_exp_reward_dp_gamma1_equals_exp_value():
 
 
 def test_x0hat_reward_discrete_exact_at_unmasked():
-    sched, den, reward = tiny_world()
-    pol = DiscretePolicy(sched, den)
+    _, den, reward = tiny_world()
     states = np.array([[0, 1], [1, 1]])
-    vals = x0hat_reward(pol, reward, states, 0)
+    vals = reward.relaxed_value(relaxed_x0(den, states, 0))
     np.testing.assert_array_equal(vals, [1.0, 0.0])
