@@ -18,7 +18,8 @@ from .optim import Adam
 from .trajectory import TrajectoryBatch
 
 ENUM_CAP = 20_000
-# distinct_rows counts keys when there are at most this many per row
+# distinct_keys counts its keys when their range is at most this many times
+# their number
 COUNT_DEDUP_RATIO = 4
 
 
@@ -33,36 +34,44 @@ def state_index(tokens, K):
     return tokens @ radix
 
 
+def distinct_keys(keys, n_keys):
+    """Distinct values of the 1-d int64 keys, each in [0, n_keys).
+
+    Returns (keys_u, inverse, counts): keys_u sorted, keys_u[inverse] ==
+    keys and counts[i] copies of keys_u[i] among the keys. Where n_keys is
+    at most COUNT_DEDUP_RATIO times the number of keys, they are counted
+    into a table over every key (O(keys + n_keys), no sort); else they are
+    sorted by np.unique. Both return the same arrays with the same dtypes.
+    """
+    if n_keys <= COUNT_DEDUP_RATIO * keys.size:
+        per_key = np.bincount(keys, minlength=n_keys)
+        keys_u = np.flatnonzero(per_key)
+        slot = np.empty(per_key.size, dtype=np.intp)
+        slot[keys_u] = np.arange(keys_u.size)
+        return keys_u, slot[keys], per_key[keys_u]
+    return np.unique(keys, return_inverse=True, return_counts=True)
+
+
 def distinct_rows(tokens, K):
     """Distinct rows of an (n, L) token array over {0..K}.
 
     Returns (unique, inverse, counts) with unique[inverse] == tokens and
     counts[i] copies of unique[i] among the rows. Rows are keyed by
-    state_index, so unique is ordered by it. Where the (K+1)^L keys number
-    at most COUNT_DEDUP_RATIO per row, they are counted into a table over
-    every key (O(n + (K+1)^L), no sort); else they are sorted by np.unique.
-    Where (K+1)^L exceeds the int64 range the key would wrap, and the rows
-    are compared position by position instead, ordered lexicographically.
-    All three return the same arrays with the same dtypes.
+    state_index and deduplicated by distinct_keys over the (K+1)^L keys, so
+    unique is ordered by the key. Where (K+1)^L exceeds the int64 range the
+    key would wrap, and the rows are compared position by position instead,
+    ordered lexicographically. All three paths return the same arrays with
+    the same dtypes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    n, L = tokens.shape
+    L = tokens.shape[1]
     n_keys = (K + 1) ** L
     if n_keys > 2**63:
         unique, inverse, counts = np.unique(tokens, axis=0,
                                             return_inverse=True,
                                             return_counts=True)
         return unique, inverse.reshape(-1), counts
-    keys = state_index(tokens, K)
-    if n_keys <= COUNT_DEDUP_RATIO * n:
-        per_key = np.bincount(keys, minlength=n_keys)
-        keys_u = np.flatnonzero(per_key)
-        slot = np.empty(per_key.size, dtype=np.intp)
-        slot[keys_u] = np.arange(keys_u.size)
-        inverse, counts = slot[keys], per_key[keys_u]
-    else:
-        keys_u, inverse, counts = np.unique(keys, return_inverse=True,
-                                            return_counts=True)
+    keys_u, inverse, counts = distinct_keys(state_index(tokens, K), n_keys)
     radix = (K + 1) ** np.arange(L, dtype=np.int64)
     return keys_u[:, None] // radix % (K + 1), inverse, counts
 
@@ -81,16 +90,17 @@ def draw_classes(cdf, u):
     The last column of cdf must be 1 (set it; a cumsum may round below), so
     no u exceeds it and it is never read: classes are counted one column at
     a time over the first K, with no (..., K+1) comparison array. Repeated
-    cdf values give a zero-mass class, which no u selects.
+    cdf values give a zero-mass class, which no u selects. Up to 256
+    classes the count is kept in one byte and widened to int once.
     """
     u = np.asarray(u)
     shape = np.broadcast_shapes(u.shape, cdf.shape[:-1])
-    out = np.zeros(shape, dtype=int)
+    out = np.zeros(shape, dtype=np.uint8 if cdf.shape[-1] <= 256 else int)
     above = np.empty(shape, dtype=bool)
     for k in range(cdf.shape[-1] - 1):
         np.greater(u, cdf[..., k], out=above)
         out += above
-    return out
+    return out.astype(int, copy=False)
 
 
 def draw_successors(X, probs, inverse, u):
@@ -387,22 +397,26 @@ class DiscretePolicy:
             prop_logp = log_rows
         states = draw_successors(X, np.exp(prop_logp), inverse,
                                  rng.uniform((n, cfg.particles, L)))
-        # the log-probabilities of the drawn classes, gathered by flat index
-        # into the (nu, L, K+1) tables: states is offset to that index in
-        # place and back, so no (n, M, L) index array is made. The masked
-        # sum adds each run of masked positions on its own; keep it, it
-        # fixes the rounding
-        masked = (X == mask_token(den.K))[:, None, :]
-        offset = ((inverse * L)[:, None] + np.arange(L)) * (den.K + 1)
-        states += offset[:, None, :]
-        log_prop = np.sum(np.take(prop_logp, states), axis=-1, where=masked)
-        log_prior = np.sum(np.take(log_rows, states), axis=-1, where=masked)
-        states -= offset[:, None, :]
         S, cand, _ = distinct_rows(states.reshape(-1, L), den.K)
         p0_s = x0_probs(den, S, t - 1)
         r_hat = reward.relaxed_value(relaxed_x0(den, S, t - 1, x0=p0_s))
+        # the log-probabilities of the drawn classes, gathered by flat index
+        # into the (nu, L, K+1) tables and summed once per distinct (parent
+        # row, candidate) pair: a pair's row holds the values and mask of
+        # every candidate it stands for. The masked sum adds each run of
+        # masked positions on its own; keep it, it fixes the rounding
+        nS = S.shape[0]
         cand = cand.reshape(states.shape[:-1])
-        return states, log_prop, log_prior, r_hat[cand], (p0_s, cand)
+        pairs, pair_inv, _ = distinct_keys(
+            (inverse[:, None] * nS + cand).ravel(), nu * nS)
+        parent, child = np.divmod(pairs, nS)
+        masked = U[parent] == mask_token(den.K)
+        flat = ((parent * L)[:, None] + np.arange(L)) * (den.K + 1) + S[child]
+        log_prop = np.sum(np.take(prop_logp, flat), axis=-1, where=masked)
+        log_prior = np.sum(np.take(log_rows, flat), axis=-1, where=masked)
+        return (states, log_prop[pair_inv].reshape(cand.shape),
+                log_prior[pair_inv].reshape(cand.shape), r_hat[cand],
+                (p0_s, cand))
 
     def anchor(self, batch):
         """As the frozen twin, the KL anchor at batch.transitions(): the

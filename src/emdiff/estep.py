@@ -67,22 +67,27 @@ def search_step_batch(policy, reward, X, t, cfg, rng, carry=None):
         reward, X, t, cfg, rng, carry)
     qhat = approx_soft_q(cfg.softq, t, qhat)  # of the reward at x0hat
     n = X.shape[0]
-    logw = log_prior - log_prop + qhat / cfg.alpha
+    # the (n, M) temporaries are updated in place and dropped when done:
+    # on a wide step they set the peak memory
+    logw = log_prior - log_prop
+    logw += qhat / cfg.alpha
     finite = np.isfinite(logw)
     fallback_rows = ~finite.any(axis=1)
     logw[~finite] = -np.inf
     logw[fallback_rows] = 0.0
     lse = log_sum_exp(logw, axis=1)
-    weights = np.exp(logw - lse[:, None])
+    weights = logw - lse[:, None]
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
     u = rng.uniform(n)
     cdf = np.cumsum(weights, axis=1)
     cdf[:, -1] = 1.0
     k = (u[:, None] > cdf).sum(axis=1)
+    del cdf
     rows = np.arange(n)
-    nz = weights > 0
-    ent = -np.sum(np.where(nz, weights * np.log(
-        np.where(nz, weights, 1.0)), 0.0), axis=1)
+    # w log w, with 0 log 0 = 0: the log reads 0 where w is 0
+    ent = -np.sum(np.log(weights, out=np.zeros_like(weights),
+                         where=weights > 0) * weights, axis=1)
     corr = logw[rows, k] - (lse - np.log(cfg.particles))
     info = StepInfo(log_prior[rows, k], log_prop[rows, k], corr,
                     qhat[rows, k], ent, fallback_rows,

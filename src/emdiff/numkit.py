@@ -47,9 +47,6 @@ class RngStream:
     def uniform(self, size=None):
         return self.gen.random(size)
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
-
 
 def log_sum_exp(v, axis=None):
     """Shift-stable log(sum(exp(v))) along `axis` (all entries if None)."""

@@ -251,8 +251,10 @@ def test_distinct_row_evaluation_matches_row_by_row(kind, monkeypatch):
 
 def _search_instance(kind, L):
     """A discrete policy at length L with random parameters, a motif reward
-    and a batch of partially masked states drawn from a small pool."""
-    K = 1 if kind == "tabular" and L == 8 else 3
+    and two batches: partially masked states drawn from a small pool, and
+    copies of one of them, as the oracle's TV check steps. From L = 12 that
+    state holds a run of 10 masks between two tokens."""
+    K = 1 if kind == "tabular" and L >= 8 else 3
     T = 4
     sched = make_discrete_schedule(T)
     if kind == "tabular":
@@ -267,27 +269,32 @@ def _search_instance(kind, L):
                     gen.integers(0, K, (12, L)))
     pool[0] = mask_token(K)
     X = pool[gen.integers(0, 12, 90)]
-    return policy, reward, X
+    if L >= 12:
+        pool[1] = mask_token(K)
+        pool[1, [0, 11]] = 0
+    return policy, reward, (X, rows(pool[1], 90))
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
-@pytest.mark.parametrize("L", [2, 4, 8])
+@pytest.mark.parametrize("L", [2, 4, 8, 12])
 def test_discrete_search_and_rollout_match_reference_kernels(kind, L,
                                                             monkeypatch):
-    # the per-class draw, the flat gathers and the counted distinct rows
-    # give what the broadcast draw, the three-array gathers and the sorted
-    # distinct rows give, bit for bit; L = 8 sums the masked log-probs past
-    # numpy's pairwise threshold
-    policy, reward, X = _search_instance(kind, L)
+    # the per-class draw, the pair-scored flat gathers and the counted
+    # distinct rows give what the broadcast draw, the per-candidate
+    # three-array gathers and the sorted distinct rows give, bit for bit;
+    # L = 8 sums the masked log-probs past numpy's pairwise threshold, and
+    # L = 12 does so over a run of masks inside a partial mask
+    policy, reward, batches = _search_instance(kind, L)
 
     def outputs():
         out = []
-        for guidance, t in [(True, 3), (False, 1), (True, 4)]:
-            cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=7,
-                              guidance=guidance)
-            nxt, info = search_step_batch(policy, reward, X, t, cfg,
-                                          RngStream(60 + t))
-            out += [nxt, *info[:-1], *info.carry]
+        for X in batches:
+            for guidance, t in [(True, 3), (False, 1), (True, 4)]:
+                cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=7,
+                                  guidance=guidance)
+                nxt, info = search_step_batch(policy, reward, X, t, cfg,
+                                              RngStream(60 + t))
+                out += [nxt, *info[:-1], *info.carry]
         return out
 
     fast = outputs()
@@ -299,6 +306,42 @@ def test_discrete_search_and_rollout_match_reference_kernels(kind, L,
     want = ref.rollout(policy, RngStream(70), 150)
     assert rollout.dtype == want.dtype
     np.testing.assert_array_equal(rollout, want)
+
+
+class _MaskedSumSpy:
+    """numpy, except that np.sum records the row count of each masked sum
+    (a where= mask) it is asked for."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a, *args, **kwargs):
+        if "where" in kwargs:
+            self.rows.append(int(np.prod(np.shape(a)[:-1])))
+        return np.sum(a, *args, **kwargs)
+
+
+def test_search_scores_each_distinct_transition_once(monkeypatch):
+    # the oracle's wide step: 4,000 copies of the all-mask state with 64
+    # candidates each reach at most (K+1)^L distinct successors, and the
+    # proposal and prior log-probabilities are summed once per distinct
+    # (parent row, candidate) pair, not once per candidate
+    L, K, n, M = 4, 3, 4000, 64
+    den = TabularDenoiser(L, K)
+    den.table[:] = RngStream(90).normal(den.table.shape)
+    policy = DiscretePolicy(make_discrete_schedule(4), den)
+    reward = MotifCountReward(np.array([0, 1]), K)
+    cfg = EStepConfig(alpha=0.5, gamma=0.9, particles=M)
+    spy = _MaskedSumSpy()
+    monkeypatch.setattr(disc, "np", spy)
+    states = policy.propose(reward, rows([mask_token(K)] * L, n), 3, cfg,
+                            RngStream(91))[0]
+    pairs = np.unique(states.reshape(-1, L), axis=0).shape[0]
+    assert 1 < pairs <= (K + 1) ** L
+    assert spy.rows == [pairs, pairs]
 
 
 @pytest.mark.parametrize("guidance", [True, False])
