@@ -11,7 +11,7 @@ distribution up to the coarseness of the chain.
 import numpy as np
 
 from .errors import ConfigError
-from .numkit import Mlp, float_array, softmax, sq_dist
+from .numkit import Mlp, float_array, softmax
 from .trajectory import TrajectoryBatch
 
 
@@ -29,6 +29,7 @@ class GaussianMixture:
             raise ConfigError("mixture weights must be positive and sum to 1")
         if np.any(self.stds <= 0):
             raise ConfigError("component stds must be positive")
+        self._memo = {}
 
     @property
     def dim(self):
@@ -40,6 +41,24 @@ class GaussianMixture:
 
     def mean(self):
         return self.weights @ self.means
+
+    def constants(self, abar):
+        """The constants of x_t | k at abar, as (1, n) rows and (K, n)
+        arrays (one column for a scalar abar, memoised per value):
+        sqrt(abar), 1 - abar, the component variances
+        v_k = abar s_k^2 + 1 - abar, the log-normaliser
+        log w_k - d/2 log(2 pi v_k), and the expanded distance's
+        2 sqrt(abar) and sqrt(abar)^2 |mu_k|^2."""
+        return _per_step(self._memo, abar, self._constants)
+
+    def _constants(self, abar):
+        ab = np.asarray(abar, dtype=float).reshape(1, -1)
+        sab = np.sqrt(ab)
+        v = self.stds[:, None] ** 2 * ab + (1.0 - ab)
+        lognorm = (np.log(self.weights)[:, None]
+                   - 0.5 * self.dim * np.log(2.0 * np.pi * v))
+        mu2 = np.einsum("ki,ki->k", self.means, self.means)[:, None]
+        return sab, 1.0 - ab, v, lognorm, 2.0 * sab, sab**2 * mu2
 
     def sample(self, rng, n):
         comp = rng.gen.choice(self.n_components, size=n, p=self.weights)
@@ -55,15 +74,25 @@ def forward_marginal_sample(schedule, x0, t, rng):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.normal(x0.shape)
 
 
+def _per_step(memo, key, build):
+    """build(key), kept in memo by value when key is a scalar (a timestep
+    or its alpha_bar) and read-only there; a per-row key array is built
+    afresh. Only left-associated prefixes of the callers' expressions are
+    built, so every float operation stays the same."""
+    if np.ndim(key):
+        return build(key)
+    value = memo.get(float(key))
+    if value is None:
+        value = memo[float(key)] = build(key)
+        for a in value:
+            a.flags.writeable = False
+    return value
+
+
 def _flat(mixture, xt, abar):
-    """x_t as (n, d) rows and its leading shape; sqrt(abar) and 1 - abar as
-    (1, n) rows and the component variances v_k = abar s_k^2 + 1 - abar of
-    x_t | k as a (K, n) array (one column for a scalar abar)."""
+    """x_t as (n, d) rows, its leading shape and mixture.constants(abar)."""
     xt = np.asarray(xt, dtype=float)
-    ab = np.asarray(abar, dtype=float).reshape(1, -1)
-    v = mixture.stds[:, None] ** 2 * ab + (1.0 - ab)
-    return (xt.reshape(-1, mixture.dim), xt.shape[:-1], np.sqrt(ab),
-            1.0 - ab, v)
+    return xt.reshape(-1, mixture.dim), xt.shape[:-1], mixture.constants(abar)
 
 
 def mixture_stats(mixture, xt, abar):
@@ -71,16 +100,17 @@ def mixture_stats(mixture, xt, abar):
     when x_t = sqrt(abar) x0 + noise and x0 follows the mixture.
 
     abar may be a scalar or an array matching xt's leading shape. The
-    squared distances |x_t - sqrt(abar) mu_k|^2 come in expanded form and
+    squared distances |x_t - sqrt(abar) mu_k|^2 come in expanded form,
+    |x_t|^2 - 2 sqrt(abar) mu_k.x_t + abar |mu_k|^2, and
         xhat = sqrt(abar) (sum_k resp_k s_k^2 / v_k) x_t
                + (1 - abar) (resp / v) @ mu,
     so every product is a matmul over components and no (n, K, d) array is
     built. The work runs component-major, (K, n).
     """
-    x, lead, sab, b, v = _flat(mixture, xt, abar)
-    loglik = (np.log(mixture.weights)[:, None]
-              - 0.5 * mixture.dim * np.log(2.0 * np.pi * v)
-              - 0.5 * sq_dist(x, mixture.means, sab) / v)
+    x, lead, (sab, b, v, lognorm, two_sab, mu2) = _flat(mixture, xt, abar)
+    sq = (np.einsum("ni,ni->n", x, x) - two_sab * (mixture.means @ x.T)
+          + mu2)
+    loglik = lognorm - 0.5 * sq / v
     resp = softmax(loglik, axis=0)
     rv = resp / v
     xhat = (sab * (mixture.stds**2 @ rv)).T * x + b.T * (rv.T @ mixture.means)
@@ -114,7 +144,7 @@ def x0hat_jacobian(mixture, xt, abar, stats=None):
     a spread of the c_k, so nothing cancels at |x| >> |mu|.
     """
     resp, xhat = mixture_stats(mixture, xt, abar) if stats is None else stats
-    x, lead, sab, b, v = _flat(mixture, xt, abar)
+    x, lead, (sab, b, v, *_) = _flat(mixture, xt, abar)
     K, d = mixture.n_components, mixture.dim
     mu = mixture.means
     r = np.ascontiguousarray(resp.reshape(-1, K).T)              # (K, n)
@@ -186,6 +216,7 @@ class ContinuousPolicy:
                             zero_last=True)
         self.frozen = frozen
         self.version = 0
+        self._memo = {}
 
     @property
     def dim(self):
@@ -201,10 +232,22 @@ class ContinuousPolicy:
         return twin
 
     def residual_input(self, xt, t):
+        """The residual MLP's input rows (x_t, t/T)."""
         xt = np.asarray(xt, dtype=float)
-        frac = np.asarray(t, dtype=float) / self.schedule.T
-        frac = np.broadcast_to(frac, xt.shape[:-1])[..., None]
-        return np.concatenate([xt, frac], axis=-1)
+        out = np.empty(xt.shape[:-1] + (xt.shape[-1] + 1,))
+        out[..., :-1] = xt
+        out[..., -1] = np.asarray(t, dtype=float) / self.schedule.T
+        return out
+
+    def _mean_coeffs(self, t):
+        """analytic_mean's coefficients of xhat and x_t and its divisor,
+        each with a trailing axis: sqrt(ab_prev) beta,
+        sqrt(alpha) (1 - ab_prev) and 1 - ab_t."""
+        sc = self.schedule
+        ab_prev = sc.alpha_bar[t - 1]
+        return ((np.sqrt(ab_prev) * sc.beta[t])[..., None],
+                (np.sqrt(sc.alpha[t]) * (1.0 - ab_prev))[..., None],
+                (1.0 - sc.alpha_bar[t])[..., None])
 
     def analytic_mean(self, xt, t, xhat=None):
         """DDPM posterior mean with the analytic x0hat plugged in.
@@ -213,17 +256,11 @@ class ContinuousPolicy:
         optionally supplies x0hat(mixture, xt, alpha_bar[t]).
         """
         xt = np.asarray(xt, dtype=float)
-        t_arr = np.asarray(t)
-        sc = self.schedule
-        ab_t = sc.alpha_bar[t_arr]
+        t = np.asarray(t)
         if xhat is None:
-            xhat = x0hat(self.mixture, xt, ab_t)
-        ab_prev = sc.alpha_bar[t_arr - 1]
-        beta = sc.beta[t_arr]
-        alpha = sc.alpha[t_arr]
-        num = (np.sqrt(ab_prev) * beta)[..., None] * xhat \
-            + (np.sqrt(alpha) * (1.0 - ab_prev))[..., None] * xt
-        return num / (1.0 - ab_t)[..., None]
+            xhat = x0hat(self.mixture, xt, self.schedule.alpha_bar[t])
+        c_hat, c_x, den = _per_step(self._memo, t, self._mean_coeffs)
+        return (c_hat * xhat + c_x * xt) / den
 
     def mean(self, xt, t, xhat=None):
         """The reverse mean: analytic_mean(xt, t, xhat) plus, unless frozen,
@@ -281,8 +318,8 @@ class ContinuousPolicy:
         n, d = X.shape
         M = cfg.particles
         states = mu_prop[:, None, :] + np.sqrt(sig2) * rng.normal((n, M, d))
-        log_prop = gauss_logpdf(states, mu_prop[:, None, :], sig2)
-        log_prior = gauss_logpdf(states, mu_prior[:, None, :], sig2)
+        log_prop, log_prior = gauss_logpdf(
+            states, np.stack([mu_prop, mu_prior])[:, :, None, :], sig2)
         resp, xhat = mixture_stats(self.mixture, states, sc.alpha_bar[t - 1])
         table = (resp.reshape(n * M, -1), xhat.reshape(n * M, d))
         return (states, log_prop, log_prior, reward.value(xhat),

@@ -177,9 +177,14 @@ def diversity(samples):
     if n < 2:
         raise ConfigError("diversity needs at least two samples")
     if np.issubdtype(arr.dtype, np.floating):
+        # a column at a time: no (pairs, d) gather and no sum over a short
+        # last axis, which numpy adds in order below 8 entries, as here
         iu, ju = np.triu_indices(n, k=1)
-        diff = arr[iu] - arr[ju]
-        return float(np.sqrt(np.sum(diff * diff, axis=-1)).mean())
+        sq = np.zeros(iu.size)
+        for col in np.ascontiguousarray(arr.reshape(n, -1).T):
+            diff = col.take(iu) - col.take(ju)
+            sq += np.multiply(diff, diff, out=diff)
+        return float(np.sqrt(sq, out=sq).mean())
     if arr.min(initial=0) < 0:
         raise ConfigError("diversity needs nonnegative tokens")
     K = int(arr.max(initial=0))

@@ -6,6 +6,7 @@ by hand where they are needed.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, RunAbortedError
 
@@ -20,6 +21,19 @@ def _splitmix64(z):
     return (z ^ (z >> 31)) & _MASK64
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands a Philox its two 64-bit key words, low word first, as the
+    state it asks for. Philox(key=...) sets the same key, but first draws
+    OS entropy for a SeedSequence it then ignores, which costs more than
+    the rest of a stream's construction."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
@@ -31,8 +45,9 @@ class RngStream:
     def __init__(self, seed, stream=0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        key = (self.seed << 64) | self.stream
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        # the Philox key (seed << 64) | stream, as its two 64-bit words
+        key = _PhiloxKey(np.array([self.stream, self.seed], dtype=np.uint64))
+        self.gen = np.random.Generator(np.random.Philox(key))
 
     def child(self, *indices):
         """Derive an independent sub-stream from integer indices."""
@@ -99,20 +114,20 @@ def _fold(op, v):
     return acc
 
 
-def sq_dist(x, centers, scale=1.0):
-    """|x - scale * c_k|^2 for every row c_k of centers, component-major:
+def sq_dist(x, centers):
+    """|x - c_k|^2 for every row c_k of centers, component-major:
     x (..., d) -> (K, ...).
 
-    Expanded as |x|^2 - 2 scale c_k.x + scale^2 |c_k|^2, so the cost is one
+    Expanded as |x|^2 - 2 c_k.x + |c_k|^2, so the cost is one
     (K, d) @ (d, n) product over the n flattened rows and no (K, n, d)
     difference is built. Component-major keeps sums over components row
     operations, which numpy vectorizes; a reduction along a short last
-    axis costs several times more. scale is a scalar or a (1, n) row.
+    axis costs several times more.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
-    sq = (np.einsum("ni,ni->n", flat, flat) - 2.0 * scale * (centers @ flat.T)
-          + scale**2 * np.einsum("ki,ki->k", centers, centers)[:, None])
+    sq = (np.einsum("ni,ni->n", flat, flat) - 2.0 * (centers @ flat.T)
+          + np.einsum("ki,ki->k", centers, centers)[:, None])
     return sq.reshape(centers.shape[:1] + x.shape[:-1])
 
 
@@ -224,8 +239,10 @@ class Mlp:
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = np.tanh(z) if i < n_layers - 1 else z
+            h = h @ w.T
+            h += b
+            if i < n_layers - 1:
+                np.tanh(h, out=h)
             acts.append(h)
         if not np.all(np.isfinite(h)):
             raise RunAbortedError("non-finite MLP output")

@@ -94,11 +94,12 @@ class ModePreferenceReward(Reward):
             raise ConfigError("mode_preference: amps and centers disagree")
         if not self.tau > 0:
             raise ConfigError("mode_preference: tau must be > 0")
+        self._two_tau2 = 2.0 * self.tau**2
 
     def _bumps(self, x0):
         """exp(-|x - mu_k|^2 / (2 tau^2)), component-major: (..., d) ->
         (K, ...)."""
-        return np.exp(-sq_dist(x0, self.centers) / (2.0 * self.tau**2))
+        return np.exp(-sq_dist(x0, self.centers) / self._two_tau2)
 
     def value(self, x0):
         return np.einsum("k,k...->...", self.amps, self._bumps(x0))

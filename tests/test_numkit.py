@@ -138,6 +138,34 @@ def test_rng_child_streams_deterministic():
     assert not np.allclose(r.child(1, 2).normal(4), r.child(2, 1).normal(4))
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 3, 2**62 + 7, 2**64 - 1])
+def test_rng_stream_is_philox_keyed_by_seed_and_stream(seed, stream):
+    got = RngStream(seed, stream)
+    want = np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
+    assert repr(got.gen.bit_generator.state) == \
+        repr(want.bit_generator.state)
+    np.testing.assert_array_equal(got.normal(1000),
+                                  want.standard_normal(1000))
+    np.testing.assert_array_equal(got.uniform(1000), want.random(1000))
+    assert repr(got.gen.bit_generator.state) == \
+        repr(want.bit_generator.state)
+
+
+def test_live_child_streams_draw_independently():
+    root = RngStream(21, 4)
+    a, b = root.child(1), root.child(2)
+    turns = [(a.normal(3), b.uniform(2), a.uniform(1), b.normal(4))
+             for _ in range(5)]
+    a, b = root.child(1), root.child(2)
+    alone_a = [(a.normal(3), a.uniform(1)) for _ in range(5)]
+    alone_b = [(b.uniform(2), b.normal(4)) for _ in range(5)]
+    for (a0, b0, a1, b1), (a0w, a1w), (b0w, b1w) in zip(turns, alone_a,
+                                                        alone_b):
+        for got, want in ((a0, a0w), (a1, a1w), (b0, b0w), (b1, b1w)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_mlp_zero_last_layer_outputs_zero():
     rng = RngStream(5)
     net = Mlp([3, 8, 2], rng=rng, zero_last=True)
