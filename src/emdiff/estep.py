@@ -100,7 +100,9 @@ def sample_posterior_batch(policy, reward, cfg, rng, n):
 
     The chains start at policy.start(rng, n), as rollouts do, and
     rng.child(t) drives step t, so the result depends only on (rng, n), not
-    on how the caller schedules work.
+    on how the caller schedules work. The batch's steps holds every field
+    of the step infos but the carry as an (n, T) column, by the infos' own
+    field names.
     """
     X = policy.start(rng, n)
     states = [X]
@@ -112,14 +114,9 @@ def sample_posterior_batch(policy, reward, cfg, rng, n):
         carry = info.carry
         states.append(X)
         infos.append(info._replace(carry=None))  # the logs, not the tables
-
-    def column(field):
-        return np.stack([getattr(i, field) for i in infos], axis=1)
-
+    columns = {f: np.stack([getattr(i, f) for i in infos], axis=1)
+               for f in type(info)._fields if f != "carry"}
     return TrajectoryBatch(
         states=np.stack(states, axis=1), snapshot=policy.version,
         rewards=np.atleast_1d(reward.value(X)).astype(float),
-        log_proposal=column("log_proposal"),
-        log_weight_corr=column("log_weight_corr"),
-        weight_entropy=column("entropy"),
-        fallbacks=column("fallback").sum(axis=1))
+        steps=type(info)(carry=None, **columns))

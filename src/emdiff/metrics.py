@@ -104,7 +104,7 @@ def elbo_surrogate(batch, log_p, alpha, gamma):
     if batch.n < 1 or not batch.searched:
         raise ConfigError("surrogate ELBO needs a non-empty search batch")
     n, T = batch.n, batch.T
-    log_eta = batch.log_proposal + batch.log_weight_corr
+    log_eta = batch.steps.log_proposal + batch.steps.log_weight_corr
     disc_w = gamma ** np.arange(T)      # column i is timestep T - i
     per_traj = np.sum(disc_w * (log_p.reshape(n, T) - log_eta), axis=1) \
         + gamma ** (T - 1) * batch.rewards / alpha

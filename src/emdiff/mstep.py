@@ -2,7 +2,7 @@
 into the policy, optionally anchored to the pretrained policy by a
 closed-form per-step KL penalty.
 
-Losses are averaged per trajectory (optionally with trajectory weights) and
+Losses are averaged per trajectory (weighted by batch.weights if set) and
 differentiated by hand into the policy's parameter arrays; updates use the
 adaptive-moment optimizer owned by the caller so moments persist across
 epochs.
@@ -39,26 +39,20 @@ class MStepConfig:
             raise ConfigError(f"unknown kl_weighting {self.kl_weighting!r}")
 
 
-def _row_weights(batch, mcfg, weights):
-    """Per-transition NLL and KL weights, aligned with batch.transitions()."""
-    n, T = batch.n, batch.T
-    w = normalized_weights(weights, n, "trajectory weights")
-    row_w = np.repeat(w, T)
-    gamma = mcfg.gamma if mcfg.kl_weighting == "discounted" else 1.0
-    step_w = np.array([gamma ** (T - t) for t in range(T, 0, -1)])
-    return row_w, row_w * np.tile(step_w, n)
-
-
-def _loss(policy, batch, mcfg, traj_weights, twin):
+def _loss(policy, batch, mcfg, twin):
     """One forward pass of the policy's loss: (total, nll, kl, log_p of
     batch.transitions(), backward), where backward() returns
     loss_and_grads' gradients. twin is the pretrained twin's anchor."""
-    row_w, kl_w = _row_weights(batch, mcfg, traj_weights)
-    return policy.distill_loss(batch, row_w, kl_w, mcfg.kl_coeff, twin)
+    n, T = batch.n, batch.T
+    row_w = np.repeat(normalized_weights(batch.weights, n,
+                                         "trajectory weights"), T)
+    gamma = mcfg.gamma if mcfg.kl_weighting == "discounted" else 1.0
+    step_w = np.array([gamma ** (T - t) for t in range(T, 0, -1)])
+    return policy.distill_loss(batch, row_w, row_w * np.tile(step_w, n),
+                               mcfg.kl_coeff, twin)
 
 
-def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
-                   twin=None):
+def loss_and_grads(policy, pretrained, batch, mcfg, twin=None):
     """Total loss, its pieces, and gradients wrt policy parameters.
 
     total = nll + kl_coeff * kl, where nll is the weighted negative
@@ -69,13 +63,11 @@ def loss_and_grads(policy, pretrained, batch, mcfg, traj_weights=None,
     """
     if twin is None:
         twin = pretrained.anchor(batch)
-    total, nll, kl, _, backward = _loss(policy, batch, mcfg, traj_weights,
-                                        twin)
+    total, nll, kl, _, backward = _loss(policy, batch, mcfg, twin)
     return total, nll, kl, backward()
 
 
-def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
-           expected_snapshot=None):
+def update(policy, pretrained, batch, mcfg, opt, expected_snapshot=None):
     """Run the configured number of distillation steps on one batch.
 
     Asserts the batch was generated at `expected_snapshot` (defaults to the
@@ -95,7 +87,7 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
     loss_before = None
     for _ in range(mcfg.steps):
         total, nll, kl, grads = loss_and_grads(policy, pretrained, batch,
-                                               mcfg, traj_weights, twin)
+                                               mcfg, twin)
         if loss_before is None:
             loss_before = total
         if not all(np.all(np.isfinite(g)) for g in grads):
@@ -104,6 +96,6 @@ def update(policy, pretrained, batch, mcfg, opt, traj_weights=None,
                 f"(loss={total!r}, nll={nll!r}, kl={kl!r})")
         opt.step(grads)
         policy.version += 1
-    total, nll, kl, log_p, _ = _loss(policy, batch, mcfg, traj_weights, twin)
+    total, nll, kl, log_p, _ = _loss(policy, batch, mcfg, twin)
     return {"loss_before": float(loss_before), "loss_after": float(total),
             "nll": float(nll), "kl": float(kl), "log_p": log_p}

@@ -39,13 +39,6 @@ class Reward:
             raise ConfigError(f"reward {self.name!r} is black-box: no gradient")
         return self._relaxed_grad(probs)
 
-    def as_black_box(self):
-        import copy
-
-        other = copy.copy(self)
-        other.differentiable = False
-        return other
-
 
 class LinearReward(Reward):
     """r(x) = c . x"""

@@ -313,8 +313,8 @@ def evaluate_policy(setup, policy, epoch, batch=None, report=None):
                                       setup.ecfg.alpha, setup.ecfg.gamma)
         rec.elbo_kind = "surrogate-is"
     if searched:
-        rec.weight_entropy = float(np.mean(batch.weight_entropy))
-        rec.fallbacks = int(batch.fallbacks.sum())
+        rec.weight_entropy = float(np.mean(batch.steps.entropy))
+        rec.fallbacks = int(batch.steps.fallback.sum())
     if report:
         rec.loss_before = report["loss_before"]
         rec.loss_after = report["loss_after"]
@@ -397,7 +397,7 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
                                            cfg["batch"])
                     rewards = np.atleast_1d(
                         reward.value(batch.terminals)).astype(float)
-                    weights = softmax(rewards / setup.ecfg.alpha)
+                    batch.weights = softmax(rewards / setup.ecfg.alpha)
                 else:
                     # the key's trailing 0 keeps batches of up to 32 rows on
                     # the random numbers of earlier releases, which searched
@@ -405,10 +405,9 @@ def run_align(raw_cfg, out_dir, variant="dav", resume=None):
                     batch = sample_posterior_batch(
                         searcher, reward, setup.ecfg,
                         setup.root.child(_ESTEP, e, 0), cfg["batch"])
-                    weights = None
-                report = mstep_mod.update(policy, pretrained, batch, mcfg,
-                                          opt, traj_weights=weights,
-                                          expected_snapshot=searcher.version)
+                report = mstep_mod.update(
+                    policy, pretrained, batch, mcfg, opt,
+                    expected_snapshot=searcher.version)
             rec, terminals = evaluate_policy(setup, policy, e, batch, report)
             records.append(rec)
             fh.write(_csv_row(rec))

@@ -11,17 +11,16 @@ class TrajectoryBatch:
 
     states[:, i] is the state at timestep T - i: float vectors in the
     continuous world, int token arrays (mask token = vocab size) in the
-    discrete one. The search fills the per-step logs, (n, T) C-ordered with
-    column i belonging to timestep T - i; plain rollouts leave them None.
+    discrete one. The search fills steps, an estep.StepInfo whose fields
+    are its per-step logs, (n, T) C-ordered with column i belonging to
+    timestep T - i, and whose carry is None; plain rollouts leave it None.
     """
 
     states: np.ndarray                        # (n, T+1, ...)
     snapshot: int = 0                         # policy version that sampled it
     rewards: np.ndarray = None                # (n,) terminal rewards
-    log_proposal: np.ndarray = None           # (n, T) at the kept particle
-    log_weight_corr: np.ndarray = None        # (n, T) log(w_kept / mean w)
-    weight_entropy: np.ndarray = None         # (n, T)
-    fallbacks: np.ndarray = None              # (n,) steps with uniform weights
+    steps: tuple = None                       # StepInfo of (n, T) columns
+    weights: np.ndarray = None                # (n,), None meaning uniform
 
     @property
     def n(self):
@@ -38,7 +37,7 @@ class TrajectoryBatch:
     @property
     def searched(self):
         """Whether the batch carries posterior-search logs."""
-        return self.log_proposal is not None
+        return self.steps is not None
 
     def transitions(self):
         """Aligned row arrays (X_t, X_prev, t) over all n*T transitions,

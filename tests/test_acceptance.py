@@ -25,7 +25,8 @@ from emdiff.mstep import MStepConfig, loss_and_grads
 from emdiff.numkit import Mlp, RngStream
 from emdiff.oracle import resampled_next_state_tv, tv_trend_over_particles
 from emdiff.rewards import (LinearReward, ModePreferenceReward,
-                            MotifCountReward, NegSquaredDistReward)
+                            MotifCountReward, NegSquaredDistReward,
+                            make_reward)
 from emdiff.schedules import make_continuous_schedule, make_discrete_schedule
 from emdiff.softq import ExactSoftTables, SoftQConfig, check_bounds
 
@@ -333,9 +334,11 @@ def test_criterion_08_black_box_pathway(tiny, tmp_path):
     s, tables = tiny
     xt = np.array([MASK, MASK])
     cfg64 = EStepConfig(alpha=0.5, gamma=1.0, particles=64, guidance=False)
-    tv = resampled_next_state_tv(s.pretrained, s.reward.as_black_box(),
-                                 tables, xt, 1, cfg64, RngStream(888),
-                                 10_000)
+    black_box = make_reward(dict(TINY["reward"], differentiable=False),
+                            vocab=TINY["world"]["vocab"],
+                            alphabet=TINY["world"]["alphabet"])
+    tv = resampled_next_state_tv(s.pretrained, black_box, tables, xt, 1,
+                                 cfg64, RngStream(888), 10_000)
     assert tv < 0.05
     cfg = copy.deepcopy(TINY)
     cfg["reward"]["differentiable"] = False

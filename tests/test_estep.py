@@ -1,13 +1,16 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 import discrete_search_reference as ref
 from emdiff import discrete as disc
+from emdiff import estep
 from emdiff.continuous import ContinuousPolicy, GaussianMixture
 from emdiff.discrete import (DiscretePolicy, MlpDenoiser, TabularDenoiser,
                              mask_token, pretrain, state_index)
 from emdiff.errors import ConfigError, UnreachableTransitionError
-from emdiff.estep import (EStepConfig, sample_posterior_batch,
+from emdiff.estep import (EStepConfig, StepInfo, sample_posterior_batch,
                           search_step_batch)
 from emdiff.numkit import RngStream
 from emdiff.oracle import resampled_next_state_tv
@@ -63,7 +66,7 @@ def test_config_validation():
         EStepConfig(alpha=0.1, particles=0)
     cfg = EStepConfig(alpha=0.1, guidance=True)
     with pytest.raises(ConfigError):
-        cfg.validate_against(LinearReward([1.0]).as_black_box())
+        cfg.validate_against(LinearReward([1.0], differentiable=False))
 
 
 def test_zero_gradient_proposal_equals_prior(cont_policy):
@@ -483,7 +486,7 @@ def test_single_particle_no_selection_pressure():
     cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=1, guidance=False)
     T = policy.schedule.T
     batch = sample_posterior_batch(policy, reward, cfg, RngStream(15), 10)
-    assert np.all(batch.log_weight_corr == 0.0)
+    assert np.all(batch.steps.log_weight_corr == 0.0)
     for t in range(T, 0, -1):
         _, info = search_step_batch(policy, reward, batch.states[:, T - t],
                                     t, cfg, RngStream(15).child(t))
@@ -508,11 +511,38 @@ def test_trajectory_shape_and_reward():
     assert np.all(batch.terminals != MASK)
     np.testing.assert_array_equal(batch.rewards,
                                   reward.value(batch.terminals))
-    for col in (batch.log_proposal, batch.log_weight_corr,
-                batch.weight_entropy):
+    for col in (batch.steps.log_proposal, batch.steps.log_weight_corr,
+                batch.steps.entropy, batch.steps.fallback):
         assert col.shape == (5, T) and col.flags.c_contiguous
-    assert batch.fallbacks.shape == (5,)
+    assert batch.steps.carry is None
     assert batch.snapshot == policy.version
+
+
+def test_new_step_info_field_becomes_a_batch_column(monkeypatch):
+    # a field appended to StepInfo reaches the batch as an (n, T) column
+    # with no edit to sample_posterior_batch
+    policy, reward = tiny_discrete()
+    cfg = EStepConfig(alpha=0.3, gamma=1.0, particles=4, guidance=True)
+    plain = sample_posterior_batch(policy, reward, cfg, RngStream(19), 5)
+    Extended = namedtuple("Extended", StepInfo._fields + ("extra",))
+    search = estep.search_step_batch
+    seen = []
+
+    def extended(policy, reward, X, t, cfg, rng, carry=None):
+        states, info = search(policy, reward, X, t, cfg, rng, carry)
+        seen.append(10.0 * t + np.arange(X.shape[0]))
+        return states, Extended(*info, seen[-1])
+
+    monkeypatch.setattr(estep, "search_step_batch", extended)
+    batch = sample_posterior_batch(policy, reward, cfg, RngStream(19), 5)
+    col = batch.steps.extra
+    assert col.shape == (5, policy.schedule.T) and col.flags.c_contiguous
+    np.testing.assert_array_equal(col, np.stack(seen, axis=1))
+    assert batch.steps.carry is None
+    for field in StepInfo._fields:
+        np.testing.assert_array_equal(getattr(batch.steps, field),
+                                      getattr(plain.steps, field))
+    np.testing.assert_array_equal(batch.states, plain.states)
 
 
 def test_resampled_matches_exact_tilted_policy_at_t1():

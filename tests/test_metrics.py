@@ -210,7 +210,8 @@ def test_surrogate_matches_per_transition_reference():
             for j in range(T):
                 t = T - j
                 log_p = policy.logprob(states[j], states[j + 1], t)
-                log_eta = batch.log_proposal[i, j] + batch.log_weight_corr[i, j]
+                log_eta = (batch.steps.log_proposal[i, j]
+                           + batch.steps.log_weight_corr[i, j])
                 acc += gamma ** (T - t) * (log_p - log_eta)
             ref += acc / batch.n
         sur = elbo_surrogate(batch, log_p_of(policy, batch), alpha, gamma)

@@ -228,9 +228,10 @@ def test_bad_trajectory_weights_fail_before_any_step(setup, weights):
     policy, pretrained, reward = setup()
     batch = make_batch(policy, reward, 4)
     before = [p.copy() for p in policy.params()]
+    batch.weights = weights
     with pytest.raises(ConfigError):
         update(policy, pretrained, batch, MStepConfig(lr=0.1, steps=2),
-               Adam(policy.params(), lr=0.1), traj_weights=weights)
+               Adam(policy.params(), lr=0.1))
     assert policy.version == 0
     for p, b in zip(policy.params(), before):
         np.testing.assert_array_equal(p, b)
@@ -336,12 +337,12 @@ def test_reweight_style_trajectory_weights():
     w = np.array([1.0, 0.0, 0.0, 0.0])
     first = TrajectoryBatch(states=batch.states[:1])
     t_all, *_ = loss_and_grads(policy, pretrained, first, MStepConfig())
-    t_w, *_ = loss_and_grads(policy, pretrained, batch, MStepConfig(),
-                             traj_weights=w)
+    batch.weights = w
+    t_w, *_ = loss_and_grads(policy, pretrained, batch, MStepConfig())
     assert t_w == pytest.approx(t_all, abs=1e-12)
+    batch.weights = np.array([0.5, 0.5])
     with pytest.raises(ConfigError):
-        loss_and_grads(policy, pretrained, batch, MStepConfig(),
-                       traj_weights=np.array([0.5, 0.5]))
+        loss_and_grads(policy, pretrained, batch, MStepConfig())
 
 
 def test_training_loss_decreases_within_most_epochs():

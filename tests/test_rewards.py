@@ -122,11 +122,12 @@ def test_relaxed_gradients_match_finite_differences(seed):
 
 
 def test_black_box_flag_blocks_gradients():
-    r = LinearReward([1.0]).as_black_box()
+    r = make_reward({"name": "linear", "coeffs": [1.0],
+                     "differentiable": False})
     assert not r.differentiable
     with pytest.raises(ConfigError):
         r.grad(np.array([1.0]))
-    rb = MotifCountReward(np.array([0]), 2).as_black_box()
+    rb = MotifCountReward(np.array([0]), 2, differentiable=False)
     with pytest.raises(ConfigError):
         rb.relaxed_grad(np.zeros((2, 3)))
     # value still works

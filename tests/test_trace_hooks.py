@@ -1,12 +1,14 @@
-"""The benchmark's per-layer tracer reads emdiff's call arguments by name.
-A traced align run on the masked MLP world must keep its diversity hook
-working, must record each distillation step as a loss_and_grads span
-inside an update span, and must write the same metrics.csv as an untraced
-run. Every
+"""The benchmark's per-layer tracer reads emdiff's call arguments by name,
+and the search step's StepInfo by position. A traced align run on the
+masked MLP world must keep its diversity and search-step hooks working,
+must count every particle and every fallback step of the run, must record
+each distillation step as a loss_and_grads span inside an update span, and
+must write the same metrics.csv as an untraced run. Every
 function the benchmark names for its epoch marks, speed samples and busy
 times, and some function matching each wildcard pattern it names, must
 still be one the tracer wraps."""
 
+import csv
 import importlib
 import os
 import sys
@@ -55,6 +57,15 @@ def test_diversity_hook_counts_every_pair_of_a_traced_run(tmp_path):
     n = cfg["eval"]["samples"]
     assert tracer.counters["metrics.diversity.pairs"] == \
         (cfg["epochs"] + 1) * n * (n - 1) // 2
+    # the search-step hook reads the entropy and fallback of StepInfo by
+    # position, so a reordered StepInfo moves these counts
+    assert "estep.search_step_batch" not in tracer.broken
+    assert tracer.counters["estep.particles"] == \
+        cfg["epochs"] * cfg["world"]["schedule"]["steps"] * cfg["batch"] \
+        * cfg["estep"]["particles"] == 512
+    with open(tmp_path / "plain" / "metrics.csv") as fh:
+        fallbacks = sum(int(row["fallbacks"]) for row in csv.DictReader(fh))
+    assert tracer.counters["estep.fallbacks"] == fallbacks
     # the distill spans and the mstep.rows hook read these two names
     assert tr.busy(tracer.spans, "mstep.loss_and_grads", "mstep.update")[1] \
         == cfg["epochs"] * cfg["mstep"]["steps"]
